@@ -40,6 +40,7 @@ from .partitions import (
     GroupPartition,
     TypeOneVerdict,
     classify_type1,
+    classify_type2,
     color_action,
     equivalence_key,
     smallest_outside,
@@ -86,7 +87,7 @@ class ColoringSpec:
     def verdict(self) -> str:
         if self.kind == "type1":
             return classify_type1(self.J.conjugated_by(self.l), self.r, self.H).verdict
-        return PERFECT if self.J1.members == self.J2.members else SEMIPERFECT
+        return classify_type2(self.J1, self.J2)
 
     def to_json(self) -> dict:
         group = self.group
@@ -107,24 +108,30 @@ class ColoringSpec:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ColoringSpec":
-        H = subgroup_of_labels(group, data["H"])
+        H = subgroup_of_labels(group, _spec_field(data, "H"))
         kind = data.get("kind")
         if kind == "type1":
             return cls.type1(
                 H,
-                subgroup_of_labels(group, data["J"]),
-                group.element(data["r"]),
+                subgroup_of_labels(group, _spec_field(data, "J")),
+                group.element(_spec_field(data, "r")),
                 group.element(data.get("l", "e")),
             )
         if kind == "type2":
             y = data.get("y")
             return cls.type2(
                 H,
-                subgroup_of_labels(group, data["J1"]),
-                subgroup_of_labels(group, data["J2"]),
+                subgroup_of_labels(group, _spec_field(data, "J1")),
+                subgroup_of_labels(group, _spec_field(data, "J2")),
                 None if y is None else group.element(y),
             )
         raise InvalidParameterError(f"unknown coloring kind {kind!r}")
+
+
+def _spec_field(data: dict, name: str):
+    if name not in data:
+        raise InvalidParameterError(f"coloring spec lacks the field {name!r}")
+    return data[name]
 
 
 def subgroup_of_labels(group: FiniteGroup, labels: Iterable[str]) -> Subgroup:
@@ -138,8 +145,7 @@ class CensusEntry:
     key: tuple[tuple[int, ...], ...]
 
     def key_string(self) -> str:
-        labs = self.spec.group.labels
-        return "|".join(",".join(labs[e] for e in block) for block in self.key)
+        return GroupPartition(self.spec.group, self.key).key_string()
 
     def to_json(self) -> dict:
         out = {"spec": self.spec.to_json()}
@@ -288,15 +294,12 @@ def enumerate_all_semiperfect(
     kinds: Sequence[str] = ("type1", "type2"),
     max_colors: int | None = None,
     orbit_count: int | None = None,
-    reduce_by: Sequence["GroupAutomorphism"] | None = None,
 ) -> Census:
     """Union of the one- and two-orbit censuses over index-2 color groups.
 
     Entries for distinct H are automatically inequivalent, so the union
     needs no cross-H deduplication.  A one- or two-orbit constraint selects
-    the corresponding pipeline.  With ``reduce_by``, color groups related by
-    one of the given automorphisms share a single pipeline run: the orbit
-    representative is enumerated and the others receive transported specs.
+    the corresponding pipeline.
     """
     if H_filter is None:
         H_filter = subgroups_of_index(G, 2)
@@ -319,57 +322,15 @@ def enumerate_all_semiperfect(
             "quotient realization: only color subgroups containing the "
             f"modulus-{G.descriptor['N']} translation lattice are visible"
         )
-    transport = _transport_plan(H_filter, reduce_by or ())
-    computed: dict[tuple[tuple[int, ...], str], list[CensusEntry]] = {}
     for H in H_filter:
         h_key = generating_words(H)
-        source, alpha = transport[H.members]
         for kind in selected_kinds:
-            if (source, kind) not in computed:
-                computed[(source, kind)] = _run_pipeline(G, Subgroup(G, source), kind, max_colors)
-            base = computed[(source, kind)]
-            if alpha is None:
-                part = base
-            else:
-                part = sorted(
-                    (_entry(conjugate_spec(e.spec, alpha)) for e in base),
-                    key=lambda e: e.key,
-                )
-                notes.append(
-                    f"{h_key} {kind}: transported from "
-                    f"{generating_words(Subgroup(G, source))} by an automorphism"
-                )
+            pipeline = enumerate_type1 if kind == "type1" else enumerate_type2
+            part = pipeline(G, H, max_colors=max_colors)
             by_part[(h_key, kind)] = len(part)
             entries.extend(part)
     _assert_distinct_keys(entries)
     return Census(group=G, entries=entries, by_part=by_part, notes=notes)
-
-
-def _run_pipeline(G, H, kind, max_colors):
-    if kind == "type1":
-        return enumerate_type1(G, H, max_colors=max_colors)
-    return enumerate_type2(G, H, max_colors=max_colors)
-
-
-def _transport_plan(H_filter, automorphisms):
-    """Assign each color group an orbit representative and the automorphism
-    carrying the representative onto it (None for representatives)."""
-    plan: dict[tuple[int, ...], tuple[tuple[int, ...], "GroupAutomorphism | None"]] = {}
-    reps: list[tuple[int, ...]] = []
-    for H in H_filter:
-        assignment = None
-        for rep in reps:
-            for alpha in automorphisms:
-                if tuple(sorted(alpha(m) for m in rep)) == H.members:
-                    assignment = (rep, alpha)
-                    break
-            if assignment:
-                break
-        if assignment is None:
-            assignment = (H.members, None)
-            reps.append(H.members)
-        plan[H.members] = assignment
-    return plan
 
 
 def _assert_distinct_keys(entries: Sequence[CensusEntry]):
@@ -428,7 +389,7 @@ def reference_grid_csv(G: FiniteGroup, H: Subgroup) -> str:
     return buf.getvalue()
 
 
-# -- automorphisms and transported censuses --------------------------------------
+# -- automorphisms and transported colorings -------------------------------------
 
 
 @dataclass(frozen=True)

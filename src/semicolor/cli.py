@@ -226,6 +226,8 @@ def _load_spec(path: str, group_override: str | None = None) -> ColoringSpec:
         raise InvalidParameterError(f"spec file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"spec file is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidParameterError("spec file must hold a JSON object")
     desc = parse_group_arg(group_override) if group_override else data.get("group")
     if desc is None:
         raise InvalidParameterError("spec file carries no group descriptor")

@@ -182,8 +182,7 @@ def symmetry_diagram(J: Subgroup, modulus: int | None = None) -> SymmetryDiagram
             continue  # identity or translation
         if mi in _ROTATION_ORDER:
             order = _ROTATION_ORDER[mi]
-            base = _rotation_center(SQUARE_POINT_GROUP[mi], t)
-            for p in _center_images(SQUARE_POINT_GROUP[mi], base, N):
+            for p in _center_images(SQUARE_POINT_GROUP[mi], t, N):
                 if center_orders.get(p, 0) < order:
                     center_orders[p] = order
             continue
@@ -218,17 +217,9 @@ def _has_pure_mirror(nn: int, glide_units: Fraction, N: int, parity: int) -> boo
     return k.denominator == 1 and (k.numerator - parity) % 2 == 0
 
 
-def _rotation_center(m: Mat, t: Vec) -> Vec:
-    a = ((1 - m[0][0], -m[0][1]), (-m[1][0], 1 - m[1][1]))
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    return (
-        Fraction(a[1][1] * t[0] - a[0][1] * t[1], det),
-        Fraction(-a[1][0] * t[0] + a[0][0] * t[1], det),
-    )
-
-
-def _center_images(m: Mat, base: Vec, N: int) -> Iterable[Vec]:
-    """All distinct centers of the element composed with lattice shifts."""
+def _center_images(m: Mat, t: Vec, N: int) -> Iterable[Vec]:
+    """All distinct centers of the rotation v -> m*v + t composed with
+    lattice shifts; each center solves (1 - m) * c = translation."""
     a = ((1 - m[0][0], -m[0][1]), (-m[1][0], 1 - m[1][1]))
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
@@ -238,6 +229,7 @@ def _center_images(m: Mat, base: Vec, N: int) -> Iterable[Vec]:
             Fraction(-a[1][0] * v[0] + a[0][0] * v[1], det),
         )
 
+    base = solve(t)
     shifts = [solve((N, 0)), solve((0, N))]
     out = set()
     for k1 in (0, 1):

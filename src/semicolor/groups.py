@@ -112,15 +112,11 @@ class FiniteGroup:
         return ids[0]
 
     def _build_inverses(self) -> tuple[int, ...]:
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.table[g][h] == self.identity and self.table[h][g] == self.identity:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
+        inv = tuple(row.index(self.identity) for row in self.table)
+        for g, h in enumerate(inv):
+            if self.table[h][g] != self.identity:
                 raise InvalidParameterError(f"element {self.labels[g]} has no two-sided inverse")
-        return tuple(inv)
+        return inv
 
     def check_associativity(self, exhaustive_limit: int = 200, samples: int = 20000) -> bool:
         """Exhaustive check up to ``exhaustive_limit`` elements, sampled above."""
@@ -162,12 +158,6 @@ class FiniteGroup:
             acc = self.table[acc][g]
         return acc
 
-    def product(self, elems: Iterable[int]) -> int:
-        acc = self.identity
-        for g in elems:
-            acc = self.table[acc][g]
-        return acc
-
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
         orders = []
@@ -186,9 +176,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def label(self, g: int) -> str:
-        return self.labels[g]
-
     # -- words and labels ----------------------------------------------------
 
     def element(self, word: str) -> int:
@@ -197,6 +184,8 @@ class FiniteGroup:
         Accepts labels ("a^2b") and compact words ("a2b"); uppercase letters
         denote inverses ("xY" is x*y^-1), "e" is the identity.
         """
+        if not isinstance(word, str):
+            raise InvalidParameterError(f"element word must be a string, got {word!r}")
         s = word.replace("^", "").replace(" ", "")
         if s in ("", "e"):
             return self.identity
@@ -330,9 +319,6 @@ class Subgroup:
         if not self.is_subset_of(other):
             raise InvalidParameterError("subgroup is not contained in the given overgroup")
         return other.order // self.order
-
-    def contains(self, g: int) -> bool:
-        return g in self.member_set
 
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_ambient(other)
@@ -477,12 +463,17 @@ def p4m_point_and_translation(group: FiniteGroup, g: int) -> tuple[int, tuple[in
 
 
 def group_from_descriptor(desc: dict) -> FiniteGroup:
-    kind = desc.get("kind")
-    if kind == "dihedral":
-        return build_dihedral(int(desc["n"]))
-    if kind == "p4m_quotient":
-        return build_p4m_quotient(int(desc["N"]))
-    raise InvalidParameterError(f"unknown group descriptor {desc!r}")
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if kind not in ("dihedral", "p4m_quotient"):
+        raise InvalidParameterError(f"unknown group descriptor {desc!r}")
+    param = "n" if kind == "dihedral" else "N"
+    try:
+        value = int(desc[param])
+    except (KeyError, TypeError, ValueError):
+        raise InvalidParameterError(
+            f"group descriptor {desc!r} needs an integer {param!r}"
+        ) from None
+    return build_dihedral(value) if kind == "dihedral" else build_p4m_quotient(value)
 
 
 def parse_group_arg(text: str) -> dict:
@@ -810,7 +801,3 @@ def generating_words(sub: Subgroup) -> str:
         if closed == sub.members:
             break
     return "<" + ",".join(group.labels[g] for g in gens) + ">"
-
-
-def subgroup_sort_key(sub: Subgroup):
-    return (sub.order, sub.members)

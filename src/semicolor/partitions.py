@@ -71,31 +71,30 @@ class GroupPartition:
             canonical_blocks(tuple(table[g][e] for e in block) for block in self.blocks),
         )
 
-    def is_stabilized_by(self, g: int) -> bool:
-        table = self.group.table
+    def _block_image(self, g: int) -> list[int] | None:
+        """Where left translation by g sends each block index, or None
+        when it splits some block."""
+        row = self.group.table[g]
         bid = self.block_of
         image = [-1] * len(self.blocks)
         for e in range(self.group.order):
-            src, dst = bid[e], bid[table[g][e]]
+            src, dst = bid[e], bid[row[e]]
             if image[src] < 0:
                 image[src] = dst
             elif image[src] != dst:
-                return False
-        return True
+                return None
+        return image
+
+    def is_stabilized_by(self, g: int) -> bool:
+        return self._block_image(g) is not None
 
     def permutation_induced_by(self, g: int) -> tuple[int, ...]:
         """Block-index permutation of left translation by g."""
-        table = self.group.table
-        bid = self.block_of
-        image = [-1] * len(self.blocks)
-        for e in range(self.group.order):
-            src, dst = bid[e], bid[table[g][e]]
-            if image[src] < 0:
-                image[src] = dst
-            elif image[src] != dst:
-                raise InvalidParameterError(
-                    f"{self.group.labels[g]} does not map blocks onto blocks"
-                )
+        image = self._block_image(g)
+        if image is None:
+            raise InvalidParameterError(
+                f"{self.group.labels[g]} does not map blocks onto blocks"
+            )
         return tuple(image)
 
     def labels_json(self) -> list[list[str]]:
@@ -142,6 +141,12 @@ def _require_inside(J: Subgroup, H: Subgroup, name: str = "J"):
 # -- constructors --------------------------------------------------------------
 
 
+def _translates(H: Subgroup, base: Iterable[int]) -> set[tuple[int, ...]]:
+    """The blocks ``h * base`` for h in H, each as a sorted tuple."""
+    table = H.group.table
+    return {tuple(sorted(table[h][e] for e in base)) for h in H.members}
+
+
 def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
     """Blocks ``h * (J u J*r)`` for h in H; one H-orbit of [H:J] blocks."""
     _require_index_two(H)
@@ -151,16 +156,15 @@ def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
         raise InvalidParameterError("the second coset representative r must lie outside H")
     table = group.table
     base = tuple(J.members) + tuple(table[j][r] for j in J.members)
-    blocks = {tuple(sorted(table[h][e] for e in base)) for h in H.members}
-    return GroupPartition.from_blocks(group, blocks, validate=False)
+    return GroupPartition.from_blocks(group, _translates(H, base), validate=False)
 
 
 def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> GroupPartition:
     """Left cosets of J1 inside H together with left cosets of J2 outside H.
 
     Any admissible ``y`` outside H yields the same partition (the cosets of
-    J2 outside H do not depend on which coset representative is named), so
-    ``y`` is only validated, never used.
+    J2 outside H are the H-translates of ``y0 * J2`` for any one ``y0``
+    outside H), so ``y`` is only validated, never used.
     """
     _require_index_two(H)
     _require_inside(J1, H, "J1")
@@ -169,9 +173,9 @@ def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = Non
     if y is not None and y in H:
         raise InvalidParameterError("y must lie outside H")
     table = group.table
-    blocks = {tuple(sorted(table[h][j] for j in J1.members)) for h in H.members}
-    for g in H.complement():
-        blocks.add(tuple(sorted(table[g][j] for j in J2.members)))
+    y0 = H.complement()[0]
+    blocks = _translates(H, J1.members)
+    blocks |= _translates(H, [table[y0][j] for j in J2.members])
     return GroupPartition.from_blocks(group, blocks, validate=False)
 
 
@@ -191,8 +195,7 @@ def general_partition(
         base = tuple(sorted({table[j][y] for j in J.members for y in Y}))
         if not base:
             raise InvalidParameterError("each part needs at least one representative")
-        for h in H.members:
-            blocks.add(tuple(sorted(table[h][e] for e in base)))
+        blocks |= _translates(H, base)
     return GroupPartition.from_blocks(group, blocks, validate=True)
 
 
@@ -407,13 +410,7 @@ def normalize_type1(H: Subgroup, J: Subgroup, g: int, Y: tuple[int, int]) -> Nor
     leading = table[g][x]
 
     # The rewrite must reproduce the input family exactly.
-    Jg = J.conjugated_by(g)
-    base = tuple(sorted({table[j][u] for j in Jg.members for u in Y}))
-    original = GroupPartition.from_blocks(
-        group,
-        {tuple(sorted(table[h][e] for e in base)) for h in H.members},
-        validate=False,
-    )
+    original = general_partition(H, [(J.conjugated_by(g), Y)])
     rewritten = type1_partition(H, J_prime, y_prime).translated(leading)
     if original.blocks != rewritten.blocks:
         raise InvalidParameterError("normalization failed to reproduce the input family")

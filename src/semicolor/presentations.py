@@ -89,12 +89,10 @@ P4M_RELATORS = ("aaaa", "bb", "abab", "xyXY", "axAY", "ayAx", "bxBX", "byBy")
 #: Built-in presentations with their embeddings into the quotient groups.
 #: "p4m_sub" and "p4m_sub_alt" present the two index-2 square-lattice color
 #: groups on their own generators; both satisfy the same relations, so all
-#: three share the relator list.
-BUILTIN_PRESENTATIONS: dict[str, Presentation] = {
-    "p4m": Presentation(("a", "b", "x", "y"), P4M_RELATORS),
-    "p4m_sub": Presentation(("a", "b", "x", "y"), P4M_RELATORS),
-    "p4m_sub_alt": Presentation(("a", "b", "x", "y"), P4M_RELATORS),
-}
+#: three names point at one presentation.
+BUILTIN_PRESENTATIONS: dict[str, Presentation] = dict.fromkeys(
+    ("p4m", "p4m_sub", "p4m_sub_alt"), Presentation(("a", "b", "x", "y"), P4M_RELATORS)
+)
 
 BUILTIN_EMBEDDINGS: dict[str, dict[str, str]] = {
     "p4m": {"a": "a", "b": "b", "x": "x", "y": "y"},

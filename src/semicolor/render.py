@@ -25,8 +25,7 @@ PALETTES: dict[str, tuple[str, ...]] = {
 
 
 def _fmt(x: float) -> str:
-    out = f"{x:.6f}"
-    return "-0.000000" if out == "-0.000000" else out
+    return f"{x:.6f}"
 
 
 def palette_fill(palette: Sequence[str] | str, block: int) -> str:
@@ -53,6 +52,8 @@ def render_svg(
     if isinstance(palette, str) and palette not in PALETTES:
         raise InvalidParameterError(f"unknown palette {palette!r}; known: {sorted(PALETTES)}")
 
+    if min(cells) < 1:
+        raise InvalidParameterError(f"cells must be at least 1x1, got {cells[0]}x{cells[1]}")
     shifts = [(0.0, 0.0)]
     if tile_map.cell is not None:
         cx, cy = tile_map.cell

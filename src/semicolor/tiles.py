@@ -63,16 +63,7 @@ def hexagon_tile_map(group: FiniteGroup) -> TileMap:
     if group.descriptor != {"kind": "dihedral", "n": 6}:
         raise UnsupportedPatternError("the hexagon layout requires the dihedral:6 group")
     base: Polygon = ((0.0, 0.0), (1.0, 0.0), (0.75, math.sqrt(3) / 4))
-    domains: dict[str, Polygon] = {}
-    for i in range(6):
-        for j in (0, 1):
-            g = group.power(group.generators["a"], i)
-            if j:
-                g = group.mul(g, group.generators["b"])
-            mat = _rot(math.pi * i / 3)
-            poly = tuple(_apply(mat, bool(j), p) for p in base)
-            domains[group.labels[g]] = poly
-    return TileMap(pattern="hexagon", group=group, domains=domains)
+    return TileMap(pattern="hexagon", group=group, domains=_placed_tiles(group, base))
 
 
 def p4m_tile_map(group: FiniteGroup) -> TileMap:
@@ -85,16 +76,17 @@ def p4m_tile_map(group: FiniteGroup) -> TileMap:
         raise UnsupportedPatternError("the square layout requires a p4m_quotient group")
     N = group.descriptor["N"]
     base: Polygon = ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5))
+    domains = _placed_tiles(group, base)
+    return TileMap(pattern="p4m", group=group, domains=domains, cell=(float(N), float(N)))
+
+
+def _placed_tiles(group: FiniteGroup, base: Polygon) -> dict[str, Polygon]:
+    """The base tile moved by each element's rendering transform."""
     domains: dict[str, Polygon] = {}
     for g in group.elements:
-        mi, t = p4m_point_and_translation(group, g)
-        m = SQUARE_POINT_GROUP[mi]
-        poly = tuple(
-            (m[0][0] * x + m[0][1] * y + t[0], m[1][0] * x + m[1][1] * y + t[1])
-            for x, y in base
-        )
-        domains[group.labels[g]] = poly
-    return TileMap(pattern="p4m", group=group, domains=domains, cell=(float(N), float(N)))
+        place = transform_of(group, g)
+        domains[group.labels[g]] = tuple(place(p) for p in base)
+    return domains
 
 
 def tile_map_for(pattern: str, group: FiniteGroup) -> TileMap:

@@ -7,6 +7,21 @@ from semicolor.cli import main
 from semicolor.groups import subgroup_from_words
 
 
+# Spec files that are valid JSON but not valid coloring specs.
+MALFORMED_SPECS = {
+    "list": "[1, 2]",
+    "type2-without-J1": json.dumps(
+        {"group": {"kind": "dihedral", "n": 6}, "H": ["e"], "kind": "type2", "J2": ["e"]}
+    ),
+    "group-without-n": json.dumps(
+        {"group": {"kind": "dihedral"}, "H": ["e"], "kind": "type2", "J1": ["e"], "J2": ["e"]}
+    ),
+    "number-as-label": json.dumps(
+        {"group": {"kind": "dihedral", "n": 6}, "H": [5], "kind": "type2", "J1": [], "J2": []}
+    ),
+}
+
+
 @pytest.fixture
 def four_color_spec_file(tmp_path, d6, hexH):
     spec = ColoringSpec.type2(
@@ -136,6 +151,40 @@ class TestRenderCommand:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "nope.json"), "--out", "x.svg"]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["render", "--out"], ["conjugate", "--map", "a=a", "--out"]],
+        ids=["render", "conjugate"],
+    )
+    @pytest.mark.parametrize(
+        "content", [None, *MALFORMED_SPECS.values()], ids=["missing", *MALFORMED_SPECS]
+    )
+    def test_unreadable_spec_exits_two(self, tmp_path, capsys, command, content):
+        path = tmp_path / "spec.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        argv = [command[0], str(path), *command[1:], str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cells", ["0x0", "-1x2", "2x0", "0"])
+    def test_cells_below_one_exit_two(self, tmp_path, capsys, cells):
+        spec = {
+            "group": {"kind": "p4m_quotient", "N": 1},
+            "H": ["e", "a^2", "b", "a^2b"],
+            "kind": "type2",
+            "J1": ["e", "b"],
+            "J2": ["e"],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out.svg"
+        assert main(["render", str(path), f"--cells={cells}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestConjugateCommand:
