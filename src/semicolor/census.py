@@ -154,13 +154,9 @@ class CensusEntry:
         return out
 
 
-def _entry(spec: ColoringSpec) -> CensusEntry:
+def _entry(spec: ColoringSpec, key: tuple[tuple[int, ...], ...]) -> CensusEntry:
     action = color_action(spec.H, spec.partition)
-    return CensusEntry(
-        spec=spec,
-        classification=action.classification,
-        key=equivalence_key(spec.partition, spec.H),
-    )
+    return CensusEntry(spec=spec, classification=action.classification, key=key)
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -193,7 +189,8 @@ def enumerate_type2(
                 colors = H.order // J1.order + H.order // J2.order
                 if colors > max_colors:
                     continue
-            entries.append(_entry(ColoringSpec.type2(H, J1, J2)))
+            spec = ColoringSpec.type2(H, J1, J2)
+            entries.append(_entry(spec, equivalence_key(spec.partition, H)))
     entries.sort(key=lambda e: e.key)
     _assert_distinct_keys(entries)
     return entries
@@ -220,7 +217,7 @@ def enumerate_type1(
         spec = ColoringSpec.type1(H, J, r, l)
         key = equivalence_key(spec.partition, H)
         if key not in entries:
-            entries[key] = _entry(spec)
+            entries[key] = _entry(spec, key)
     out = sorted(entries.values(), key=lambda e: e.key)
     return out
 
@@ -293,24 +290,16 @@ def enumerate_all_semiperfect(
     H_filter: Sequence[Subgroup] | None = None,
     kinds: Sequence[str] = ("type1", "type2"),
     max_colors: int | None = None,
-    orbit_count: int | None = None,
 ) -> Census:
     """Union of the one- and two-orbit censuses over index-2 color groups.
 
     Entries for distinct H are automatically inequivalent, so the union
-    needs no cross-H deduplication.  A one- or two-orbit constraint selects
-    the corresponding pipeline.
+    needs no cross-H deduplication.  ``type1`` entries have one color
+    orbit and ``type2`` entries two.
     """
     if H_filter is None:
         H_filter = subgroups_of_index(G, 2)
     selected_kinds = list(kinds)
-    if orbit_count is not None:
-        if orbit_count == 1:
-            selected_kinds = [k for k in selected_kinds if k == "type1"]
-        elif orbit_count == 2:
-            selected_kinds = [k for k in selected_kinds if k == "type2"]
-        else:
-            selected_kinds = []
     entries: list[CensusEntry] = []
     by_part: dict[tuple[str, str], int] = {}
     notes: list[str] = []
@@ -433,13 +422,6 @@ class GroupAutomorphism:
     def __call__(self, g: int) -> int:
         return self.images[g]
 
-    @cached_property
-    def inverse(self) -> "GroupAutomorphism":
-        inv = [0] * len(self.images)
-        for g, img in enumerate(self.images):
-            inv[img] = g
-        return GroupAutomorphism(self.group, tuple(inv))
-
     def apply_subgroup(self, S: Subgroup) -> Subgroup:
         return Subgroup(self.group, tuple(sorted(self.images[m] for m in S.members)))
 
@@ -512,7 +494,7 @@ def action_equivalence_check(
 
 
 def find_conjugating_automorphism(
-    G: FiniteGroup, H: Subgroup, H2: Subgroup, max_order: int | None = None
+    G: FiniteGroup, H: Subgroup, H2: Subgroup
 ) -> GroupAutomorphism | None:
     """Search for an automorphism of G carrying H onto H2.
 
@@ -522,7 +504,7 @@ def find_conjugating_automorphism(
     have index 2, the partial map may additionally be pruned whenever a
     member of H would leave H2 or vice versa.
     """
-    bound = configured_max_order() if max_order is None else max_order
+    bound = configured_max_order()
     if G.order > bound:
         raise ResourceLimitError(
             f"group order {G.order} exceeds the automorphism-search bound {bound}"
@@ -596,11 +578,15 @@ def standard_color_groups(G: FiniteGroup) -> list[Subgroup]:
     For the hexagonal pattern these are the reflection-and-half-turn group
     and the rotation group (the remaining index-2 subgroup is carried onto
     the first by an ambient reflection).  For the square pattern they are
-    the two square-lattice color groups of full point symmetry.
+    the two square-lattice color groups of full point symmetry, except for
+    N = 1, where both are the whole group.  Every other group gets all of
+    its index-2 subgroups.
     """
     kind = G.descriptor.get("kind")
     if kind == "dihedral" and G.descriptor.get("n") == 6:
         return [subgroup_from_words(G, w) for w in HEXAGON_COLOR_GROUPS]
     if kind == "p4m_quotient":
-        return [subgroup_from_words(G, w) for w in P4M_COLOR_GROUPS]
+        standard = [subgroup_from_words(G, w) for w in P4M_COLOR_GROUPS]
+        if all(2 * H.order == G.order for H in standard):
+            return standard
     return subgroups_of_index(G, 2)

@@ -69,9 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="color group generators (repeatable); default: the standard "
         "index-2 color groups of the pattern",
     )
-    p.add_argument("--type", choices=["1", "2", "all"], default="all")
+    p.add_argument("--type", choices=["1", "2", "all"], default="all",
+                   help="1: one-orbit colorings, 2: two-orbit colorings, all: both")
     p.add_argument("--max-colors", type=int)
-    p.add_argument("--orbits", type=int, choices=[1, 2])
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write the census here")
     p.set_defaults(func=cmd_enumerate)
@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="render a coloring spec file to SVG")
     p.add_argument("spec", help="coloring spec JSON file")
-    p.add_argument("--pattern", choices=["hexagon", "p4m"])
     p.add_argument("--out", required=True)
     p.add_argument("--palette", default="default", help=f"one of {sorted(PALETTES)}")
     p.add_argument("--cells", default="1x1", help="repeat blocks for p4m, e.g. 2x2")
@@ -155,7 +154,6 @@ def cmd_enumerate(args) -> int:
         H_filter=color_groups,
         kinds=kinds,
         max_colors=args.max_colors,
-        orbit_count=args.orbits,
     )
     if args.out:
         if args.format == "json":
@@ -219,7 +217,7 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def _load_spec(path: str, group_override: str | None = None) -> ColoringSpec:
+def _load_spec(path: str) -> ColoringSpec:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -228,7 +226,7 @@ def _load_spec(path: str, group_override: str | None = None) -> ColoringSpec:
         raise InvalidParameterError(f"spec file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidParameterError("spec file must hold a JSON object")
-    desc = parse_group_arg(group_override) if group_override else data.get("group")
+    desc = data.get("group")
     if desc is None:
         raise InvalidParameterError("spec file carries no group descriptor")
     group = group_from_descriptor(desc)
@@ -237,9 +235,7 @@ def _load_spec(path: str, group_override: str | None = None) -> ColoringSpec:
 
 def cmd_render(args) -> int:
     spec = _load_spec(args.spec)
-    kind = spec.group.descriptor.get("kind")
-    pattern = args.pattern or {"dihedral": "hexagon", "p4m_quotient": "p4m"}[kind]
-    tile_map = tile_map_for(pattern, spec.group)
+    tile_map = tile_map_for(spec.group)
     block_of = {
         spec.group.labels[g]: spec.partition.block_of[g] for g in spec.group.elements
     }
@@ -285,8 +281,7 @@ def cmd_conjugate(args) -> int:
     else:
         sys.stdout.write(text)
     if args.table:
-        pattern = {"dihedral": "hexagon", "p4m_quotient": "p4m"}[group.descriptor["kind"]]
-        tile_map = tile_map_for(pattern, group)
+        tile_map = tile_map_for(group)
         coloring = {
             group.labels[g]: spec.partition.block_of[g] + 1 for g in group.elements
         }

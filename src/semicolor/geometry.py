@@ -158,7 +158,7 @@ _MIRROR_DATA = {
 _ROTATION_ORDER = {1: 4, 2: 2, 3: 4}
 
 
-def symmetry_diagram(J: Subgroup, modulus: int | None = None) -> SymmetryDiagram:
+def symmetry_diagram(J: Subgroup) -> SymmetryDiagram:
     """Diagram of the lift of a p4m-quotient subgroup.
 
     Translations and the identity contribute nothing (their symmetry
@@ -171,7 +171,7 @@ def symmetry_diagram(J: Subgroup, modulus: int | None = None) -> SymmetryDiagram
         raise UnsupportedPatternError(
             "symmetry diagrams are computed for p4m quotient groups only"
         )
-    N = group.descriptor["N"] if modulus is None else modulus
+    N = group.descriptor["N"]
     mirrors: set[tuple[tuple[int, int], Fraction]] = set()
     glide_candidates: set[tuple[tuple[int, int], Fraction]] = set()
     center_orders: dict[Vec, int] = {}

@@ -118,11 +118,11 @@ class FiniteGroup:
                 raise InvalidParameterError(f"element {self.labels[g]} has no two-sided inverse")
         return inv
 
-    def check_associativity(self, exhaustive_limit: int = 200, samples: int = 20000) -> bool:
-        """Exhaustive check up to ``exhaustive_limit`` elements, sampled above."""
+    def check_associativity(self) -> bool:
+        """Exhaustive check up to 200 elements, 20000 sampled triples above."""
         n = self.order
         mul = self.table
-        if n <= exhaustive_limit:
+        if n <= 200:
             triples: Iterable[tuple[int, int, int]] = (
                 (a, b, c) for a in range(n) for b in range(n) for c in range(n)
             )
@@ -131,7 +131,7 @@ class FiniteGroup:
 
             rng = random.Random(0)
             triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(samples)
+                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000)
             )
         for a, b, c in triples:
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
@@ -315,11 +315,6 @@ class Subgroup:
     def index(self) -> int:
         return self.group.order // len(self.members)
 
-    def index_in(self, other: "Subgroup") -> int:
-        if not self.is_subset_of(other):
-            raise InvalidParameterError("subgroup is not contained in the given overgroup")
-        return other.order // self.order
-
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_ambient(other)
         return self.mask & ~other.mask == 0
@@ -329,9 +324,6 @@ class Subgroup:
         g = self.group
         ti = g.inverse[t]
         return Subgroup(g, tuple(sorted(g.table[g.table[t][m]][ti] for m in self.members)))
-
-    def is_normal_in(self, other: "Subgroup") -> bool:
-        return all(self.conjugated_by(t) == self for t in other.members)
 
     def is_whole_group(self) -> bool:
         return len(self.members) == self.group.order
@@ -537,8 +529,7 @@ def _as_universe(group_or_subgroup: FiniteGroup | Subgroup) -> Subgroup:
     return group_or_subgroup
 
 
-def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup,
-                  max_order: int | None = None) -> list[Subgroup]:
+def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
     """Every subgroup of the given group (or of the given subgroup).
 
     Found by saturating one-generator extensions: every subgroup sits on a
@@ -548,7 +539,7 @@ def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup,
     """
     universe = _as_universe(group_or_subgroup)
     group = universe.group
-    bound = configured_max_order() if max_order is None else max_order
+    bound = configured_max_order()
     if group.order > bound:
         raise ResourceLimitError(
             f"group order {group.order} exceeds the subgroup-enumeration bound {bound}"
@@ -621,8 +612,7 @@ def index_two_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgr
     return sorted(subs, key=lambda s: s.members)
 
 
-def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int,
-                       max_order: int | None = None) -> list[Subgroup]:
+def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int) -> list[Subgroup]:
     """All subgroups of the given index, deterministically ordered."""
     universe = _as_universe(group_or_subgroup)
     if k < 1:
@@ -633,8 +623,7 @@ def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int,
         return []
     if k == 2:
         return index_two_subgroups(universe)
-    return [s for s in all_subgroups(universe, max_order=max_order)
-            if universe.order == k * s.order]
+    return [s for s in all_subgroups(universe) if universe.order == k * s.order]
 
 
 def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]:

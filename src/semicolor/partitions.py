@@ -323,10 +323,12 @@ class ColorAction:
 
 
 def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
-    """Permutations of block indices induced by each element of H.
+    """Permutations of block indices induced by each element of the
+    index-2 color group H.
 
-    Raises if some member of H fails to permute the blocks.  The verdict is
-    decided by the full stabilizer, computed exactly.
+    Raises if some member of H fails to permute the blocks.  H then lies in
+    the stabilizer of P and has index 2, so P is perfect exactly when one
+    element outside H stabilizes it.
     """
     group = H.group
     perms = []
@@ -337,13 +339,7 @@ def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
         perms.append(perm)
         if perm == identity_perm:
             kernel_members.append(h)
-    stab = partition_stabilizer(group, P)
-    if stab.is_whole_group():
-        verdict = PERFECT
-    elif 2 * stab.order == group.order:
-        verdict = SEMIPERFECT
-    else:
-        raise InvalidParameterError("partition stabilizer has index larger than 2")
+    verdict = PERFECT if P.is_stabilized_by(smallest_outside(H)) else SEMIPERFECT
     # Orbits of H on blocks.
     seen: set[int] = set()
     orbits = 0

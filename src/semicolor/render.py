@@ -7,7 +7,7 @@ lookup tables.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import InvalidParameterError
 from .tiles import TileMap
@@ -24,21 +24,24 @@ PALETTES: dict[str, tuple[str, ...]] = {
 }
 
 
+#: SVG user units per unit of pattern length.
+SCALE = 100.0
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def palette_fill(palette: Sequence[str] | str, block: int) -> str:
-    table = PALETTES[palette] if isinstance(palette, str) else tuple(palette)
+def palette_fill(palette: str, block: int) -> str:
+    table = PALETTES[palette]
     return table[block % len(table)]
 
 
 def render_svg(
     tile_map: TileMap,
     block_of: Mapping[str, int],
-    palette: Sequence[str] | str = "default",
+    palette: str = "default",
     cells: tuple[int, int] = (1, 1),
-    scale: float = 100.0,
 ) -> str:
     """Render a coloring (label -> block index) of a tile map as SVG.
 
@@ -49,7 +52,7 @@ def render_svg(
     missing = [lab for lab in tile_map.domains if lab not in block_of]
     if missing:
         raise InvalidParameterError(f"no block assigned to tiles: {missing[:4]}")
-    if isinstance(palette, str) and palette not in PALETTES:
+    if palette not in PALETTES:
         raise InvalidParameterError(f"unknown palette {palette!r}; known: {sorted(PALETTES)}")
 
     if min(cells) < 1:
@@ -78,11 +81,11 @@ def render_svg(
 
     # SVG y grows downward; flip so counterclockwise stays counterclockwise.
     def pt(p):
-        return f"{_fmt(scale * p[0])},{_fmt(-scale * p[1])}"
+        return f"{_fmt(SCALE * p[0])},{_fmt(-SCALE * p[1])}"
 
     view = (
-        f"{_fmt(scale * x0)} {_fmt(-scale * y1)} "
-        f"{_fmt(scale * (x1 - x0))} {_fmt(scale * (y1 - y0))}"
+        f"{_fmt(SCALE * x0)} {_fmt(-SCALE * y1)} "
+        f"{_fmt(SCALE * (x1 - x0))} {_fmt(SCALE * (y1 - y0))}"
     )
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -98,8 +101,8 @@ def render_svg(
     for seg in _boundary_segments(polys):
         (p, q) = seg
         lines.append(
-            f'<line x1="{_fmt(scale * p[0])}" y1="{_fmt(-scale * p[1])}" '
-            f'x2="{_fmt(scale * q[0])}" y2="{_fmt(-scale * q[1])}" '
+            f'<line x1="{_fmt(SCALE * p[0])}" y1="{_fmt(-SCALE * p[1])}" '
+            f'x2="{_fmt(SCALE * q[0])}" y2="{_fmt(-SCALE * q[1])}" '
             'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
         )
     lines.append("</svg>")

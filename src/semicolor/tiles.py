@@ -29,10 +29,6 @@ class TileMap:
     base_label: str = "e"
     cell: tuple[float, float] | None = None  # lattice periods for repeating patterns
 
-    @property
-    def base_domain(self) -> Polygon:
-        return self.domains[self.base_label]
-
     def to_json(self) -> dict:
         return {
             label: [[x, y] for x, y in poly]
@@ -89,12 +85,11 @@ def _placed_tiles(group: FiniteGroup, base: Polygon) -> dict[str, Polygon]:
     return domains
 
 
-def tile_map_for(pattern: str, group: FiniteGroup) -> TileMap:
-    if pattern == "hexagon":
-        return hexagon_tile_map(group)
-    if pattern == "p4m":
+def tile_map_for(group: FiniteGroup) -> TileMap:
+    """The layout of the group's pattern: square for p4m quotients, else hexagon."""
+    if group.descriptor.get("kind") == "p4m_quotient":
         return p4m_tile_map(group)
-    raise UnsupportedPatternError(f"unknown pattern {pattern!r}")
+    return hexagon_tile_map(group)
 
 
 def transform_of(group: FiniteGroup, g: int):

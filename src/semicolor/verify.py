@@ -38,6 +38,7 @@ from .groups import (
 )
 from .partitions import (
     PERFECT,
+    SEMIPERFECT,
     classify_type1,
     classify_type2,
     color_action,
@@ -236,11 +237,12 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
             suite.check(len(orbit) == 2, f"orbit size != 2 for {entry.key_string()}")
             stabs = {partition_stabilizer(G, P).members for P in orbit}
             suite.check(len(stabs) == 1, f"orbit stabilizers differ for {entry.key_string()}")
-            action = color_action(H, entry.spec.partition)
-            cls = action.classification
+            cls = color_action(H, entry.spec.partition).classification
+            # Orbit-stabilizer: the orbit size under G decides the verdict.
             suite.check(
-                cls.kernel_order * cls.color_perm_group_order == H.order,
-                f"kernel product law fails for {entry.key_string()}",
+                cls.kernel_order * cls.color_perm_group_order == H.order
+                and cls.verdict == {1: PERFECT, 2: SEMIPERFECT}.get(len(orbit)),
+                f"kernel product law or verdict fails for {entry.key_string()}",
             )
 
 

@@ -185,8 +185,8 @@ class TestFullCensus:
         assert census.total == 0
 
     def test_orbit_filter(self, d6, hexH):
-        one = enumerate_all_semiperfect(d6, H_filter=[hexH], orbit_count=1)
-        two = enumerate_all_semiperfect(d6, H_filter=[hexH], orbit_count=2)
+        one = enumerate_all_semiperfect(d6, H_filter=[hexH], kinds=("type1",))
+        two = enumerate_all_semiperfect(d6, H_filter=[hexH], kinds=("type2",))
         assert one.total == 4
         assert two.total == 15
 

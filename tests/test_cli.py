@@ -97,6 +97,15 @@ class TestEnumerateCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 16  # header + 15 entries
 
+    def test_square_default_color_groups_for_n_one(self, capsys, tmp_path):
+        # For N = 1 both standard square color groups are the whole group, so
+        # the default census covers every index-2 subgroup.
+        default, named = tmp_path / "default.csv", tmp_path / "named.csv"
+        argv = ["enumerate", "--group", "p4m_quotient:1", "--format", "csv", "--out"]
+        assert main(argv + [str(default)]) == 0
+        assert main(argv + [str(named), "--H", "a", "--H", "a2,b", "--H", "a2,ab"]) == 0
+        assert default.read_bytes() == named.read_bytes()
+
     def test_non_index_two_color_group_rejected(self, capsys):
         assert main(["enumerate", "--group", "dihedral:6", "--H", "a2"]) == 2
 

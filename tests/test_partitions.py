@@ -1,7 +1,17 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from semicolor.errors import InvalidParameterError, NotAPartitionError
-from semicolor.groups import all_subgroups, subgroup_from_words, subgroup_generated, whole_group
+from semicolor.groups import (
+    all_subgroups,
+    build_dihedral,
+    build_p4m_quotient,
+    subgroup_from_words,
+    subgroup_generated,
+    subgroups_of_index,
+    whole_group,
+)
 from semicolor.partitions import (
     PERFECT,
     SEMIPERFECT,
@@ -294,6 +304,24 @@ class TestColorAction:
         for J in all_subgroups(hexH):
             P = type1_partition(hexH, J, d6.element("a"))
             assert color_action(hexH, P).classification.num_color_orbits == 1
+
+    def test_verdict_matches_stabilizer_oracle(self, d6, g2):
+        cases = [
+            (G, H)
+            for G in (d6, build_dihedral(8), build_p4m_quotient(1))
+            for H in subgroups_of_index(G, 2)
+        ]
+        cases += [(g2, subgroup_from_words(g2, w)) for w in ("a,ab,xy,Xy", "xa,ab,xy,Xy")]
+        for G, H in cases:
+            subs = all_subgroups(H)
+            partitions = [type1_partition(H, J, r) for J in subs for r in H.complement()]
+            partitions += [
+                type2_partition(H, J1, J2) for J1, J2 in combinations_with_replacement(subs, 2)
+            ]
+            for P in partitions:
+                perfect = partition_stabilizer(G, P).is_whole_group()
+                verdict = color_action(H, P).classification.verdict
+                assert verdict == (PERFECT if perfect else SEMIPERFECT)
 
 
 class TestNormalizeTypeOne:

@@ -4,7 +4,7 @@ import pytest
 
 from semicolor.census import ColoringSpec, GroupAutomorphism
 from semicolor.errors import InvalidParameterError, UnsupportedPatternError
-from semicolor.groups import subgroup_from_words
+from semicolor.groups import build_dihedral, subgroup_from_words
 from semicolor.render import PALETTES, render_svg
 from semicolor.tiles import (
     hexagon_tile_map,
@@ -65,12 +65,10 @@ class TestTileMaps:
                     assert abs((ey - gy) % N) % N < TOL or abs((ey - gy) % N - N) < TOL
 
     def test_pattern_dispatch(self, d6, g2):
-        assert tile_map_for("hexagon", d6).pattern == "hexagon"
-        assert tile_map_for("p4m", g2).pattern == "p4m"
+        assert tile_map_for(d6).pattern == "hexagon"
+        assert tile_map_for(g2).pattern == "p4m"
         with pytest.raises(UnsupportedPatternError):
-            tile_map_for("hexagon", g2)
-        with pytest.raises(UnsupportedPatternError):
-            tile_map_for("penrose", d6)
+            tile_map_for(build_dihedral(4))
 
 
 class TestRenderer:
