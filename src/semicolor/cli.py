@@ -170,8 +170,11 @@ def cmd_enumerate(args) -> int:
 
 def _census_csv(census) -> str:
     lines = ["H,kind,detail,numColors,numColorOrbits,kernelOrder,colorPermGroupOrder,equivalenceKey"]
+    h_words: dict[tuple[int, ...], str] = {}  # one display word per color group
     for e in census.entries:
         spec = e.spec
+        if spec.H.members not in h_words:
+            h_words[spec.H.members] = generating_words(spec.H)
         labs = spec.group.labels
         if spec.kind == "type1":
             detail = f"J=<{' '.join(spec.J.label_list())}> l={labs[spec.l]} r={labs[spec.r]}"
@@ -184,7 +187,7 @@ def _census_csv(census) -> str:
         lines.append(
             ",".join(
                 [
-                    generating_words(spec.H),
+                    h_words[spec.H.members],
                     spec.kind,
                     detail,
                     str(c.num_colors),

@@ -488,23 +488,26 @@ def parse_group_arg(text: str) -> dict:
 
 
 def _close_under_products(group: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    table, inv = group.table, group.inverse
+    """Sorted members of the subgroup generated by ``seed``.
+
+    Breadth-first search from the identity that multiplies on the right by
+    the distinct seed elements only: in a finite group the monoid generated
+    by a set S is already the subgroup <S>, so no inverses or two-sided
+    products are needed.  Costs |<S>| * |S| table lookups, where closing
+    under all pairwise products would cost |<S>|^2.
+    """
+    table = group.table
+    gens = set(seed)
+    gens.discard(group.identity)
     members = {group.identity}
-    queue = []
-    for g in seed:
-        if g not in members:
-            members.add(g)
-            queue.append(g)
-    for g in queue:
-        members.add(inv[g])
-    queue = list(members)
-    while queue:
-        g = queue.pop()
-        for h in tuple(members):
-            for p in (table[g][h], table[h][g]):
-                if p not in members:
-                    members.add(p)
-                    queue.append(p)
+    frontier = [group.identity]
+    for g in frontier:  # grows while it is walked
+        row = table[g]
+        for s in gens:
+            p = row[s]
+            if p not in members:
+                members.add(p)
+                frontier.append(p)
     return tuple(sorted(members))
 
 

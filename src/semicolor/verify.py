@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from .census import (
     enumerate_all_semiperfect,
@@ -57,10 +58,12 @@ class Suite:
     failures: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    def check(self, ok: bool, detail: str):
+    def check(self, ok: bool, detail: str | Callable[[], str]):
+        """Count one check; on failure record ``detail``, calling it first
+        when it is a callable, so a passing check never builds its text."""
         self.checks += 1
         if not ok:
-            self.failures.append(detail)
+            self.failures.append(detail() if callable(detail) else detail)
 
     @property
     def passed(self) -> bool:
@@ -152,18 +155,18 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, color_groups):
         subs = _lattice_pool(H)
         for K in subs:
             regen = subgroup_generated(G, K.members)
-            suite.check(regen.members == K.members, f"closure not idempotent for {K}")
+            suite.check(regen.members == K.members, lambda: f"closure not idempotent for {K}")
             reps = left_coset_reps(H, K)
             suite.check(
                 len(reps) * K.order == H.order,
-                f"coset count mismatch for {K} in {H}",
+                lambda: f"coset count mismatch for {K} in {H}",
             )
             covered = set()
             for rep in reps:
                 coset = {G.mul(rep, k) for k in K.members}
-                suite.check(not (coset & covered), f"cosets overlap for {K}")
+                suite.check(not (coset & covered), lambda: f"cosets overlap for {K}")
                 covered |= coset
-            suite.check(covered == set(H.members), f"cosets do not cover H for {K}")
+            suite.check(covered == set(H.members), lambda: f"cosets do not cover H for {K}")
 
 
 def _suite_classes(suite: Suite, G: FiniteGroup, color_groups):
@@ -173,14 +176,14 @@ def _suite_classes(suite: Suite, G: FiniteGroup, color_groups):
         classes = conjugacy_classes_of_subgroups(subs, full)
         suite.check(
             sum(len(c) for c in classes) == len(subs),
-            f"class sizes do not add up for H={H}",
+            lambda: f"class sizes do not add up for H={H}",
         )
         for cls in classes:
             rep = cls[0]
             ng = normalizer(full, rep)
             suite.check(
                 len(cls) * ng.order == G.order,
-                f"orbit-stabilizer mismatch for {rep}",
+                lambda: f"orbit-stabilizer mismatch for {rep}",
             )
 
 
@@ -199,7 +202,7 @@ def _suite_bridge(suite: Suite, G: FiniteGroup, color_groups):
                     cosets.add(left)
             suite.check(
                 perfect_coset_count(G, H, J) == len(cosets),
-                f"involution bridge mismatch for J={J} in H={H}",
+                lambda: f"involution bridge mismatch for J={J} in H={H}",
             )
 
 
@@ -212,7 +215,7 @@ def _suite_type1(suite: Suite, G: FiniteGroup, color_groups):
                 oracle = partition_stabilizer(G, type1_partition(H, J, r)).is_whole_group()
                 suite.check(
                     fast == oracle,
-                    f"one-orbit verdict mismatch J={J} r={G.labels[r]} H={H}",
+                    lambda: f"one-orbit verdict mismatch J={J} r={G.labels[r]} H={H}",
                 )
 
 
@@ -224,7 +227,7 @@ def _suite_type2(suite: Suite, G: FiniteGroup, color_groups):
             oracle = partition_stabilizer(G, type2_partition(H, J1, J2)).is_whole_group()
             suite.check(
                 fast == oracle,
-                f"two-orbit verdict mismatch J1={J1} J2={J2} H={H}",
+                lambda: f"two-orbit verdict mismatch J1={J1} J2={J2} H={H}",
             )
 
 
@@ -234,15 +237,20 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
         entries = enumerate_type2(G, H, max_colors=cap) + enumerate_type1(G, H, max_colors=cap)
         for entry in entries:
             orbit = equivalence_class(entry.spec.partition, G)
-            suite.check(len(orbit) == 2, f"orbit size != 2 for {entry.key_string()}")
+            suite.check(len(orbit) == 2, lambda: f"orbit size != 2 for {entry.key_string()}")
             stabs = {partition_stabilizer(G, P).members for P in orbit}
-            suite.check(len(stabs) == 1, f"orbit stabilizers differ for {entry.key_string()}")
+            suite.check(
+                len(stabs) == 1, lambda: f"orbit stabilizers differ for {entry.key_string()}"
+            )
             cls = color_action(H, entry.spec.partition).classification
             # Orbit-stabilizer: the orbit size under G decides the verdict.
+            # The census classifies in closed form; the oracle must agree.
             suite.check(
                 cls.kernel_order * cls.color_perm_group_order == H.order
-                and cls.verdict == {1: PERFECT, 2: SEMIPERFECT}.get(len(orbit)),
-                f"kernel product law or verdict fails for {entry.key_string()}",
+                and cls.verdict == {1: PERFECT, 2: SEMIPERFECT}.get(len(orbit))
+                and cls == entry.classification,
+                lambda: f"kernel product law, verdict or closed form fails for "
+                f"{entry.key_string()}",
             )
 
 
@@ -264,7 +272,7 @@ def _suite_pairing(suite: Suite, G: FiniteGroup, color_groups):
             want = 1 if split else 2
             suite.check(
                 all(len(v) == want for v in keys.values()),
-                f"semiperfect grid multiplicity != {want} for J={J} H={H}",
+                lambda: f"semiperfect grid multiplicity != {want} for J={J} H={H}",
             )
 
 
@@ -286,7 +294,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, color_groups):
             )
         suite.check(
             len(entries2) == expected2,
-            f"two-orbit census size mismatch for H={H}",
+            lambda: f"two-orbit census size mismatch for H={H}",
         )
         entries1 = enumerate_type1(G, H, max_colors=cap)
         pool1 = all_subgroups(H) if cap is None else subgroups_of_index_at_most(H, cap)
@@ -295,7 +303,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, color_groups):
             total += count_semiperfect_type1(G, H, cls[0])
         suite.check(
             len(entries1) == total,
-            f"one-orbit census does not match the closed form for H={H}",
+            lambda: f"one-orbit census does not match the closed form for H={H}",
         )
 
 
@@ -319,12 +327,12 @@ def _suite_transport(suite: Suite, G: FiniteGroup, color_groups):
             moved = conjugate_spec(entry.spec, alpha)
             suite.check(
                 moved.verdict() == entry.spec.verdict(),
-                f"transport changed verdict for {entry.key_string()}",
+                lambda: f"transport changed verdict for {entry.key_string()}",
             )
             ok, _ = action_equivalence_check(
                 entry.spec.H, entry.spec.partition, moved.H, moved.partition, alpha
             )
-            suite.check(ok, f"transported action differs for {entry.key_string()}")
+            suite.check(ok, lambda: f"transported action differs for {entry.key_string()}")
     suite.check(True, "transport sweep completed")
 
 
@@ -340,13 +348,13 @@ def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
         for r in G.elements:
             moved = D.transformed(lift_quotient_element(G, r))
             conj = symmetry_diagram(J.conjugated_by(r))
-            suite.check(moved == conj, f"diagram conjugation identity fails for {J}")
+            suite.check(moved == conj, lambda: f"diagram conjugation identity fails for {J}")
             if moved != D:
                 left = {G.mul(r, j) for j in J.members}
                 right = {G.mul(j, r) for j in J.members}
                 suite.check(
                     left != right,
-                    f"diagram moved but {G.labels[r]} normalizes {J}",
+                    lambda: f"diagram moved but {G.labels[r]} normalizes {J}",
                 )
 
 

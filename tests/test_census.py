@@ -22,11 +22,15 @@ from semicolor.groups import (
     all_subgroups,
     conjugacy_class_reps_of_subgroups,
     generating_words,
+    group_from_descriptor,
+    parse_group_arg,
     subgroup_from_words,
+    subgroups_of_index,
     whole_group,
 )
 from semicolor.partitions import (
     SEMIPERFECT,
+    color_action,
     equivalence_key,
     equivalent,
     partition_stabilizer,
@@ -214,6 +218,22 @@ class TestFullCensus:
         assert sorted(equivalence_key(spec.partition, other) for spec in moved) == sorted(
             e.key for e in direct.entries
         )
+
+
+def test_closed_form_classification_matches_color_action():
+    # Every census entry of every index-2 color group.  D6 alone would not
+    # notice a type-2 kernel that forgets to conjugate J2 by y0; D8 and
+    # p4m_quotient:2 do.
+    checked = 0
+    for descriptor in ("dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1",
+                       "p4m_quotient:2"):
+        G = group_from_descriptor(parse_group_arg(descriptor))
+        for H in subgroups_of_index(G, 2):
+            for entry in enumerate_type1(G, H) + enumerate_type2(G, H):
+                oracle = color_action(H, entry.spec.partition).classification
+                assert entry.classification == oracle, (descriptor, entry.key_string())
+                checked += 1
+    assert checked == 5617
 
 
 class TestSpecSerialization:

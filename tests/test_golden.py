@@ -33,14 +33,24 @@ def test_hexagon_census_json(tmp_path, capsys):
 
 
 def test_square_census_csv(tmp_path, capsys):
-    # The standard square color groups need N >= 2, so name all three
-    # index-2 color groups of the N = 1 quotient.
+    # Names all three index-2 color groups of the N = 1 quotient; without
+    # --H the command falls back to the same three, in another order.
     out = tmp_path / "p4m1.csv"
     argv = ["enumerate", "--group", "p4m_quotient:1", "--H", "a2,b", "--H", "a"]
     argv += ["--H", "a2,ab", "--format", "csv", "--out", str(out)]
     assert main(argv) == 0
     assert _sha(out.read_bytes()) == (
         "da9707fca8dba52a21c8fb36708a5894d0ce0b8cbe65aeb05b70ee17f6329a22"
+    )
+
+
+def test_square_census_json(tmp_path, capsys):
+    # Both standard color groups and both kinds; the type-2 kernels here
+    # depend on conjugating J2 by an element outside H.
+    out = tmp_path / "p4m2.json"
+    assert main(["enumerate", "--group", "p4m_quotient:2", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == (
+        "e772fb3830146a849ae6bd9921160443d9e58c67e098810ba0d36abf3f36975a"
     )
 
 

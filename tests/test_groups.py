@@ -1,7 +1,8 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from semicolor import groups
 from semicolor.errors import InvalidParameterError, ResourceLimitError
 from semicolor.groups import (
     build_dihedral,
@@ -121,6 +122,44 @@ class TestP4mQuotient:
 
     def test_uppercase_words_are_inverses(self, g4):
         assert g4.element("xY") == g4.mul(g4.element("x"), g4.inv(g4.element("y")))
+
+
+def naive_closure(group, seed):
+    """Independent oracle: multiply all pairs until nothing new appears."""
+    members = set(seed) | {group.identity}
+    while True:
+        new = {group.mul(a, b) for a in members for b in members} - members
+        if not new:
+            return tuple(sorted(members))
+        members |= new
+
+
+class TestClosure:
+    @pytest.mark.parametrize("descriptor, n_subgroups", [
+        ("dihedral:12", 34), ("p4m_quotient:2", 106),
+    ])
+    def test_every_element_pair(self, descriptor, n_subgroups):
+        group = group_from_descriptor(parse_group_arg(descriptor))
+        for seed in product(group.elements, repeat=2):
+            assert subgroup_generated(group, seed).members == naive_closure(group, seed)
+        assert len(all_subgroups(group)) == n_subgroups
+
+    def test_every_seed_of_the_lattice_search(self, g2, monkeypatch):
+        H = subgroup_from_words(g2, "a,ab,xy,Xy")
+        seeds = []
+        close = groups._close_under_products
+
+        def recording(group, seed):
+            seed = tuple(seed)
+            seeds.append(seed)
+            return close(group, seed)
+
+        monkeypatch.setattr(groups, "_close_under_products", recording)
+        assert len(all_subgroups(H)) == 35
+        monkeypatch.undo()
+        assert len(seeds) > 35
+        for seed in seeds:
+            assert close(g2, seed) == naive_closure(g2, seed)
 
 
 class TestSubgroupMachinery:
