@@ -5,8 +5,14 @@ unordered pairs of subgroups of H, and the one-orbit colorings by a
 conjugacy-class representative J together with a coset grid (l, r).  When
 some element outside H normalizes J the grid double-counts: each
 semiperfect partition appears exactly twice, and the pipeline collapses the
-pair through a canonical orbit key.  Censuses for different H never
-overlap, because equivalent partitions share their stabilizer.
+pair through a canonical orbit key, the smaller of P and y*P for any y
+outside H.  Censuses for different H never overlap, because equivalent
+partitions share their stabilizer.
+
+A type-2 key needs no translation: y * P(J1, J2) = P(J2, J1) for every y
+outside H, and the first block of P(J1, J2), the one holding the identity
+(element 0 in every construction), is J1 itself.  So the key of the pair
+is P(lo, hi), where lo is whichever of J1, J2 has the smaller member tuple.
 
 The classification of each entry follows from H and the subgroups alone.
 Every entry is semiperfect by construction (perfect one-orbit cells are
@@ -183,8 +189,9 @@ def _entry(spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int) ->
 
     ``kernel`` is the ``Subgroup.mask`` of the color action's kernel:
     core_H(J') for type 1, the intersection of core_H(J1) and
-    core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The verdict is semiperfect, because the pipelines emit no
-    perfect coloring; ``color_action`` is the oracle for all of it.
+    core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The
+    verdict is semiperfect, because the pipelines emit no perfect coloring;
+    ``color_action`` is the oracle for all of it.
     """
     H = spec.H
     if spec.kind == "type1":
@@ -238,7 +245,9 @@ def enumerate_type2(
                     continue
             spec = ColoringSpec.type2(H, J1, J2)
             kernel = cores[J1.members].mask & outside[J2.members]
-            entries.append(_entry(spec, equivalence_key(spec.partition, H), kernel))
+            # The orbit key in closed form (see the module docstring).
+            lo, hi = (J1, J2) if J1.members < J2.members else (J2, J1)
+            entries.append(_entry(spec, type2_partition(H, lo, hi).blocks, kernel))
     entries.sort(key=lambda e: e.key)
     _assert_distinct_keys(entries)
     return entries

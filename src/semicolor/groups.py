@@ -707,9 +707,13 @@ def conjugacy_classes_of_subgroups(
 ) -> list[list[Subgroup]]:
     """Partition the given subgroups into conjugation orbits.
 
-    Each class is sorted, classes ordered by decreasing subgroup order then
-    by the representative's member tuple.
+    Orbits are searched under a greedy generating set of ``conjugators``
+    only: a family closed under conjugation by each generator is closed
+    under every product of them, and in a finite group those products are
+    the whole subgroup.  Each class is sorted, classes ordered by decreasing
+    subgroup order then by the representative's member tuple.
     """
+    gens = _greedy_generators(conjugators)
     pool = {s.members: s for s in subgroups}
     classes = []
     while pool:
@@ -718,7 +722,7 @@ def conjugacy_classes_of_subgroups(
         queue = [orbit[rep_key]]
         while queue:
             sub = queue.pop()
-            for t in conjugators.members:
+            for t in gens:
                 conj = sub.conjugated_by(t)
                 if conj.members not in orbit:
                     if conj.members not in pool:
@@ -780,16 +784,20 @@ def generating_words(sub: Subgroup) -> str:
         for gens in combinations(non_identity, size):
             if _close_under_products(group, gens) == sub.members:
                 return "<" + ",".join(group.labels[g] for g in gens) + ">"
-    # Greedy fallback: deterministic, not necessarily minimal.
+    return "<" + ",".join(group.labels[g] for g in _greedy_generators(sub)) + ">"
+
+
+def _greedy_generators(sub: Subgroup) -> list[int]:
+    """Generators of ``sub``, deterministic but not necessarily minimal:
+    each member, in ascending order, that the ones before it do not
+    generate."""
+    group = sub.group
     gens: list[int] = []
-    closed: tuple[int, ...] = (group.identity,)
-    closed_set = {group.identity}
+    closed = {group.identity}
     for m in sub.members:
-        if m in closed_set:
-            continue
-        gens.append(m)
-        closed = _close_under_products(group, tuple(gens))
-        closed_set = set(closed)
-        if closed == sub.members:
+        if len(closed) == sub.order:
             break
-    return "<" + ",".join(group.labels[g] for g in gens) + ">"
+        if m not in closed:
+            gens.append(m)
+            closed = set(_close_under_products(group, gens))
+    return gens

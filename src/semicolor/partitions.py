@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotAPartitionError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, left_coset_reps
 
 PERFECT = "perfect"
 SEMIPERFECT = "semiperfect"
@@ -141,10 +141,18 @@ def _require_inside(J: Subgroup, H: Subgroup, name: str = "J"):
 # -- constructors --------------------------------------------------------------
 
 
-def _translates(H: Subgroup, base: Iterable[int]) -> set[tuple[int, ...]]:
-    """The blocks ``h * base`` for h in H, each as a sorted tuple."""
+def _translates(H: Subgroup, K: Subgroup, base: Sequence[int]) -> list[tuple[int, ...]]:
+    """The blocks ``h * base`` for h in H, each as a sorted tuple.
+
+    ``K`` is a subgroup of H that fixes ``base`` under left translation, so
+    ``h * base`` depends only on the left coset ``h*K`` and one
+    representative per coset suffices: [H:K] blocks, one sort of |base|
+    members each, after an O(|H|) walk for the representatives.  When K is
+    the whole H-stabilizer of ``base`` the blocks are pairwise distinct; the
+    trivial K builds all |H| translates, repeats included.
+    """
     table = H.group.table
-    return {tuple(sorted(table[h][e] for e in base)) for h in H.members}
+    return [tuple(sorted(table[h][e] for e in base)) for h in left_coset_reps(H, K)]
 
 
 def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
@@ -155,8 +163,9 @@ def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
     if r in H:
         raise InvalidParameterError("the second coset representative r must lie outside H")
     table = group.table
-    base = tuple(J.members) + tuple(table[j][r] for j in J.members)
-    return GroupPartition.from_blocks(group, _translates(H, base), validate=False)
+    base = J.members + tuple(table[j][r] for j in J.members)
+    # h*(J u J*r) = J u J*r exactly when h*J = J, so J is the stabilizer.
+    return GroupPartition(group, tuple(sorted(_translates(H, J, base))))
 
 
 def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> GroupPartition:
@@ -173,10 +182,12 @@ def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = Non
     if y is not None and y in H:
         raise InvalidParameterError("y must lie outside H")
     table = group.table
-    y0 = H.complement()[0]
-    blocks = _translates(H, J1.members)
-    blocks |= _translates(H, [table[y0][j] for j in J2.members])
-    return GroupPartition.from_blocks(group, blocks, validate=False)
+    y0 = smallest_outside(H)
+    # h*y0*J2 = y0*J2 exactly when h lies in y0*J2*y0^-1, which H contains
+    # because it is normal.
+    blocks = _translates(H, J1, J1.members)
+    blocks += _translates(H, J2.conjugated_by(y0), [table[y0][j] for j in J2.members])
+    return GroupPartition(group, tuple(sorted(blocks)))
 
 
 def general_partition(
@@ -189,13 +200,15 @@ def general_partition(
     """
     group = H.group
     table = group.table
+    trivial = Subgroup(group, (group.identity,))
     blocks = set()
     for J, Y in parts:
         _require_inside(J, H, "each part's subgroup")
         base = tuple(sorted({table[j][y] for j in J.members for y in Y}))
         if not base:
             raise InvalidParameterError("each part needs at least one representative")
-        blocks |= _translates(H, base)
+        # Every translate, so that overlapping families reach the validation.
+        blocks.update(_translates(H, trivial, base))
     return GroupPartition.from_blocks(group, blocks, validate=True)
 
 
@@ -414,9 +427,11 @@ def normalize_type1(H: Subgroup, J: Subgroup, g: int, Y: tuple[int, int]) -> Nor
 
 
 def smallest_outside(H: Subgroup) -> int:
-    """Canonical representative of the nontrivial coset of H."""
+    """Canonical representative of the nontrivial coset of H: the lowest
+    clear bit of ``H.mask``."""
     _require_index_two(H)
-    return H.complement()[0]
+    mask = H.mask
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 def equivalence_key(P: GroupPartition, H: Subgroup) -> tuple[tuple[int, ...], ...]:

@@ -237,7 +237,11 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
         entries = enumerate_type2(G, H, max_colors=cap) + enumerate_type1(G, H, max_colors=cap)
         for entry in entries:
             orbit = equivalence_class(entry.spec.partition, G)
-            suite.check(len(orbit) == 2, lambda: f"orbit size != 2 for {entry.key_string()}")
+            suite.check(
+                len(orbit) == 2 and entry.key == orbit[0].blocks,
+                lambda: f"orbit size != 2 or key is not the orbit minimum for "
+                f"{entry.key_string()}",
+            )
             stabs = {partition_stabilizer(G, P).members for P in orbit}
             suite.check(
                 len(stabs) == 1, lambda: f"orbit stabilizers differ for {entry.key_string()}"

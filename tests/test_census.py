@@ -236,6 +236,19 @@ def test_closed_form_classification_matches_color_action():
     assert checked == 5617
 
 
+def test_type2_keys_match_equivalence_key():
+    # The type-2 pipeline takes the orbit key in closed form, without
+    # translating the partition; equivalence_key translates it.
+    for descriptor in ("dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1",
+                       "p4m_quotient:2"):
+        G = group_from_descriptor(parse_group_arg(descriptor))
+        for H in subgroups_of_index(G, 2):
+            for entry in enumerate_type2(G, H):
+                assert entry.key == equivalence_key(entry.spec.partition, H), (
+                    descriptor, entry.key_string()
+                )
+
+
 class TestSpecSerialization:
     def test_round_trip_type2(self, d6, hexH):
         spec = ColoringSpec.type2(

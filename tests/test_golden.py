@@ -54,6 +54,17 @@ def test_square_census_json(tmp_path, capsys):
     )
 
 
+def test_largest_square_census_json(tmp_path, capsys):
+    # The order-128 group, capped at six colors: the largest census the
+    # tests pin, where blocks span the most cosets.
+    out = tmp_path / "p4m4.json"
+    argv = ["enumerate", "--group", "p4m_quotient:4", "--max-colors", "6", "--out", str(out)]
+    assert main(argv) == 0
+    assert _sha(out.read_bytes()) == (
+        "d680712e400155ef810afe739e1d84d79c0aee0aa1ca05606c8fa785a3652ccb"
+    )
+
+
 def test_table1(capsys):
     assert main(["table1"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == (

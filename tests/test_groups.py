@@ -282,6 +282,39 @@ class TestConjugacyClasses:
             assert len(cls) * ng.order == d6.order
 
 
+def naive_conjugacy_classes(subgroups, conjugators):
+    """Independent oracle: each orbit conjugated by every member at once."""
+    pool = {s.members for s in subgroups}
+    classes = []
+    while pool:
+        rep = min(pool)
+        orbit = {rep}
+        for t in conjugators.members:
+            orbit.add(Subgroup(conjugators.group, rep).conjugated_by(t).members)
+        pool -= orbit
+        classes.append(sorted(orbit))
+    return sorted(classes, key=lambda c: (-len(c[0]), c[0]))
+
+
+class TestConjugacyOrbitsUnderGenerators:
+    @pytest.mark.parametrize("descriptor", [
+        "dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1", "p4m_quotient:2",
+    ])
+    def test_matches_all_member_search(self, descriptor):
+        G = group_from_descriptor(parse_group_arg(descriptor))
+        for H in subgroups_of_index(G, 2):
+            subs = all_subgroups(H)
+            for conjugators in (whole_group(G), H):
+                classes = conjugacy_classes_of_subgroups(subs, conjugators)
+                assert [[s.members for s in c] for c in classes] == (
+                    naive_conjugacy_classes(subs, conjugators)
+                )
+
+    def test_family_not_closed_under_conjugation_rejected(self, d6, hexH):
+        with pytest.raises(InvalidParameterError, match="leaves the given subgroup family"):
+            conjugacy_classes_of_subgroups([subgroup_from_words(d6, "b")], whole_group(d6))
+
+
 class TestPerfectCosetCount:
     def test_worked_values(self, d6, hexH):
         assert perfect_coset_count(d6, hexH, subgroup_from_words(d6, "b")) == 1

@@ -1,4 +1,4 @@
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from semicolor.partitions import (
     PERFECT,
     SEMIPERFECT,
     GroupPartition,
+    canonical_blocks,
     classify_type1,
     classify_type2,
     classify_type2_with_reps,
@@ -26,6 +27,7 @@ from semicolor.partitions import (
     general_partition,
     normalize_type1,
     partition_stabilizer,
+    smallest_outside,
     type1_partition,
     type2_partition,
 )
@@ -136,6 +138,14 @@ class TestGeneralPartition:
         Jb = subgroup_from_words(d6, "b")
         with pytest.raises(NotAPartitionError):
             general_partition(hexH, [(Jb, [d6.identity])])
+
+    def test_overlapping_translates_rejected(self, d6, hexH):
+        # Both representatives lie in H, so the H-translates of {e, a^2}
+        # overlap; only building every translate shows it.
+        trivial = subgroup_generated(d6, [])
+        with pytest.raises(NotAPartitionError) as err:
+            general_partition(hexH, [(trivial, [d6.identity, d6.element("a2")])])
+        assert err.value.colliding is not None
 
     def test_overlap_rejected_with_collision_report(self, d6, hexH):
         Jb = subgroup_from_words(d6, "b")
@@ -374,3 +384,52 @@ class TestEquivalenceKey:
             d6, [list(b) for b in four_color.blocks]
         )
         assert rebuilt.blocks == four_color.blocks
+
+
+# -- coset-indexed blocks and the closed-form type-2 key ------------------------
+
+
+@pytest.fixture(scope="module")
+def color_group_sweep():
+    """Every index-2 color group of D6, D8, D12 and p4m_quotient:1/2."""
+    groups = [build_dihedral(n) for n in (6, 8, 12)]
+    groups += [build_p4m_quotient(N) for N in (1, 2)]
+    return [(G, H, all_subgroups(H)) for G in groups for H in subgroups_of_index(G, 2)]
+
+
+def naive_blocks(H, base):
+    """Independent oracle: the translate ``h * base`` for every h in H."""
+    table = H.group.table
+    return canonical_blocks([table[h][e] for e in base] for h in H.members)
+
+
+class TestCosetIndexedBlocks:
+    def test_type1_blocks_match_every_translate(self, color_group_sweep):
+        for G, H, subs in color_group_sweep:
+            for J in subs:
+                for r in H.complement():
+                    base = J.members + tuple(G.mul(j, r) for j in J.members)
+                    assert type1_partition(H, J, r).blocks == naive_blocks(H, base)
+
+    def test_type2_blocks_match_every_translate(self, color_group_sweep):
+        for G, H, subs in color_group_sweep:
+            y = H.complement()[-1]  # any element outside H gives the same blocks
+            for J1, J2 in product(subs, repeat=2):
+                outside = [G.mul(y, j) for j in J2.members]
+                expected = canonical_blocks(
+                    naive_blocks(H, J1.members) + naive_blocks(H, outside)
+                )
+                assert type2_partition(H, J1, J2).blocks == expected
+
+    def test_outside_element_swaps_type2_halves(self, color_group_sweep):
+        for G, H, subs in color_group_sweep:
+            y = H.complement()[-1]
+            for J1, J2 in product(subs, repeat=2):
+                P = type2_partition(H, J1, J2)
+                assert P.translated(y).blocks == type2_partition(H, J2, J1).blocks
+                lo, hi = sorted((J1, J2), key=lambda s: s.members)
+                assert equivalence_key(P, H) == type2_partition(H, lo, hi).blocks
+
+    def test_smallest_outside_is_first_of_complement(self, color_group_sweep):
+        for G, H, subs in color_group_sweep:
+            assert smallest_outside(H) == H.complement()[0]
