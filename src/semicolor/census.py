@@ -9,10 +9,30 @@ pair through a canonical orbit key, the smaller of P and y*P for any y
 outside H.  Censuses for different H never overlap, because equivalent
 partitions share their stabilizer.
 
-A type-2 key needs no translation: y * P(J1, J2) = P(J2, J1) for every y
-outside H, and the first block of P(J1, J2), the one holding the identity
-(element 0 in every construction), is J1 itself.  So the key of the pair
-is P(lo, hi), where lo is whichever of J1, J2 has the smaller member tuple.
+Neither orbit key needs a translation.  Each partition below is the set of
+H-translates of one block per H-orbit, the block holding the identity
+(element 0 in every construction) comes first in canonical order, and every
+block is a sorted tuple:
+
+* type 2: y * P(J1, J2) = P(J2, J1) for every y outside H, and the first
+  block of P(J1, J2) is J1 itself.  So the key of the pair is P(lo, hi),
+  where lo is whichever of J1, J2 has the smaller member tuple.
+* type 1: r^-1 * P(J, r) = P(r^-1*J*r, r^-1), because
+  r^-1 * (J u J*r) = r^-1*J*r u (r^-1*J*r)*r^-1.  P(J, r) is the
+  H-translates of its identity block B = J u J*r, whose H-stabilizer is
+  B n H = J.  B holds r, so r^-1*B is the identity block of r^-1*P; for
+  a semiperfect cell it differs from B (else r^-1 would stabilize P), so
+  the key is the partition of the smaller of B and r^-1*B.
+
+The census builds no partition for either.  Per color group H it computes
+one subgroup pool and the left coset representatives of each J in it; the
+blocks h*base are then one sort per representative (``_translates``).  A
+type-2 key is ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the
+left cosets of J and ``outside[J]`` the H-translates of y0*J, both built
+once per J.  The ``equivalenceKey`` text of a key joins one stored string
+per block.  ``type1_partition``, ``type2_partition``, ``equivalence_key``
+and ``GroupPartition.translated`` are left to ``ColoringSpec.partition``,
+``verify``, ``table1`` and the tests.
 
 The classification of each entry follows from H and the subgroups alone.
 Every entry is semiperfect by construction (perfect one-orbit cells are
@@ -33,7 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
@@ -64,6 +84,7 @@ from .partitions import (
     smallest_outside,
     type1_partition,
     type2_partition,
+    _translates,
 )
 
 
@@ -161,9 +182,12 @@ class CensusEntry:
     spec: ColoringSpec
     classification: Classification
     key: tuple[tuple[int, ...], ...]
+    block_text: Mapping[tuple[int, ...], str] = field(compare=False, repr=False)
 
     def key_string(self) -> str:
-        return GroupPartition(self.spec.group, self.key).key_string()
+        """``GroupPartition.key_string`` of the key, joined from block texts
+        shared with the other entries of the color group."""
+        return "|".join(map(self.block_text.__getitem__, self.key))
 
     def to_json(self) -> dict:
         out = {"spec": self.spec.to_json()}
@@ -172,41 +196,71 @@ class CensusEntry:
         return out
 
 
-def _core(H: Subgroup, J: Subgroup) -> Subgroup:
-    """core_H(J), the intersection of the conjugates t*J*t^-1 for t in H.
+class _BlockText(dict):
+    """The text ``a,b,...`` of each block, built on first use."""
 
-    A conjugate depends only on the left coset t*J, so one t per coset
-    suffices.
-    """
-    mask = J.mask
-    for t in left_coset_reps(H, J):
-        mask &= J.conjugated_by(t).mask
-    return Subgroup(J.group, tuple(j for j in J.members if mask >> j & 1))
+    def __init__(self, labels: Sequence[str]):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        text = self[block] = ",".join(self.labels[e] for e in block)
+        return text
 
 
-def _entry(spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int) -> CensusEntry:
-    """The census entry of ``spec``, classified in closed form.
+class _BlockTables:
+    """What both pipelines of one color group H read per subgroup J of its
+    pool: the left coset representatives of J in H, from which every block
+    and every core is built, and the text of each block."""
 
-    ``kernel`` is the ``Subgroup.mask`` of the color action's kernel:
-    core_H(J') for type 1, the intersection of core_H(J1) and
-    core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The
-    verdict is semiperfect, because the pipelines emit no perfect coloring;
-    ``color_action`` is the oracle for all of it.
-    """
-    H = spec.H
-    if spec.kind == "type1":
-        colors, orbits = H.order // spec.J.order, 1
-    else:
-        colors, orbits = H.order // spec.J1.order + H.order // spec.J2.order, 2
-    kernel_order = kernel.bit_count()
-    classification = Classification(
-        verdict=SEMIPERFECT,
-        num_colors=colors,
-        num_color_orbits=orbits,
-        kernel_order=kernel_order,
-        color_perm_group_order=H.order // kernel_order,
-    )
-    return CensusEntry(spec=spec, classification=classification, key=key)
+    def __init__(self, G: FiniteGroup, H: Subgroup, max_colors: int | None):
+        if H.group is not G:
+            raise InvalidParameterError("H belongs to a different group")
+        if 2 * H.order != G.order:
+            raise InvalidParameterError("H must have index 2")
+        self.H = H
+        self.max_colors = max_colors
+        self.pool = _subgroup_pool(H, max_colors)
+        self.reps = {J.members: left_coset_reps(H, J) for J in self.pool}
+        self.text = _BlockText(G.labels)
+
+    def core(self, J: Subgroup) -> int:
+        """The ``Subgroup.mask`` of core_H(J), the intersection of the
+        conjugates t*J*t^-1 for t in H.
+
+        A conjugate depends only on the left coset t*J, so one t per coset
+        suffices.
+        """
+        mask = J.mask
+        for t in self.reps[J.members]:
+            mask &= J.conjugated_by(t).mask
+        return mask
+
+    def entry(
+        self, spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int
+    ) -> CensusEntry:
+        """The census entry of ``spec``, classified in closed form.
+
+        ``kernel`` is the ``Subgroup.mask`` of the color action's kernel:
+        core_H(J') for type 1, the intersection of core_H(J1) and
+        core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The
+        verdict is semiperfect, because the pipelines emit no perfect
+        coloring; ``color_action`` is the oracle for all of it.
+        """
+        H = self.H
+        if spec.kind == "type1":
+            colors, orbits = H.order // spec.J.order, 1
+        else:
+            colors, orbits = H.order // spec.J1.order + H.order // spec.J2.order, 2
+        kernel_order = kernel.bit_count()
+        classification = Classification(
+            verdict=SEMIPERFECT,
+            num_colors=colors,
+            num_color_orbits=orbits,
+            kernel_order=kernel_order,
+            color_perm_group_order=H.order // kernel_order,
+        )
+        return CensusEntry(spec, classification, key, self.text)
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -226,28 +280,39 @@ def enumerate_type2(
     All entries are semiperfect and pairwise inequivalent; the only other
     partition equivalent to the (J1, J2) entry is its (J2, J1) swap.
     """
-    if H.group is not G:
-        raise InvalidParameterError("H belongs to a different group")
-    if 2 * H.order != G.order:
-        raise InvalidParameterError("H must have index 2")
-    pool = _subgroup_pool(H, None if max_colors is None else max(max_colors - 1, 0))
-    pool = sorted(pool, key=lambda s: (s.order, s.members))
-    # H is normal in G, so core_H(y0*J2*y0^-1) = y0*core_H(J2)*y0^-1.
+    return _type2_entries(_BlockTables(G, H, max_colors))
+
+
+def _type2_entries(tables: _BlockTables) -> list[CensusEntry]:
+    H, cap, reps = tables.H, tables.max_colors, tables.reps
+    group = H.group
+    # Two colors at least, so a subgroup of index cap belongs to no pair.
+    pool = sorted(
+        (J for J in tables.pool if cap is None or J.order * (cap - 1) >= H.order),
+        key=lambda s: (s.order, s.members),
+    )
     y0 = smallest_outside(H)
-    cores = {J.members: _core(H, J) for J in pool}
-    outside = {k: core.conjugated_by(y0).mask for k, core in cores.items()}
+    cores = {J.members: tables.core(J) for J in pool}
+    inside, outside, outside_core = [], [], []
+    for J in pool:
+        # h*y0*J = y0*J exactly when h lies in y0*J*y0^-1, which H contains
+        # because it is normal; core_H(y0*J*y0^-1) is that subgroup's core.
+        Jy = J.conjugated_by(y0).members
+        base = [group.table[y0][j] for j in J.members]
+        inside.append(_translates(group, reps[J.members], J.members))
+        outside.append(sorted(_translates(group, reps[Jy], base)))
+        outside_core.append(cores[Jy])
     entries = []
     for i, J1 in enumerate(pool):
-        for J2 in pool[i + 1 :]:
-            if max_colors is not None:
-                colors = H.order // J1.order + H.order // J2.order
-                if colors > max_colors:
-                    continue
-            spec = ColoringSpec.type2(H, J1, J2)
-            kernel = cores[J1.members].mask & outside[J2.members]
-            # The orbit key in closed form (see the module docstring).
-            lo, hi = (J1, J2) if J1.members < J2.members else (J2, J1)
-            entries.append(_entry(spec, type2_partition(H, lo, hi).blocks, kernel))
+        for j in range(i + 1, len(pool)):
+            J2 = pool[j]
+            if cap is not None and H.order // J1.order + H.order // J2.order > cap:
+                continue
+            # The orbit key P(lo, hi) in closed form (see the module docstring).
+            lo, hi = (i, j) if J1.members < J2.members else (j, i)
+            key = tuple(sorted(inside[lo] + outside[hi]))
+            kernel = cores[J1.members] & outside_core[j]
+            entries.append(tables.entry(ColoringSpec.type2(H, J1, J2, y0), key, kernel))
     entries.sort(key=lambda e: e.key)
     _assert_distinct_keys(entries)
     return entries
@@ -263,24 +328,32 @@ def enumerate_type1(
     coset representatives of the l-conjugate of J outside H; keeps the
     semiperfect cells and collapses equivalent pairs via the orbit key.
     """
-    if H.group is not G:
-        raise InvalidParameterError("H belongs to a different group")
-    if 2 * H.order != G.order:
-        raise InvalidParameterError("H must have index 2")
-    entries: dict[tuple, CensusEntry] = {}
+    return _type1_entries(_BlockTables(G, H, max_colors))
+
+
+def _type1_entries(tables: _BlockTables) -> list[CensusEntry]:
+    H = tables.H
+    group = H.group
+    table, inverse = group.table, group.inverse
+    # One entry per identity block of a key (see the module docstring).
+    entries: dict[tuple[int, ...], CensusEntry] = {}
     # l lies in H, so core_H(l*J*l^-1) = core_H(J): one core per class.
     cores: dict[tuple[int, ...], int] = {}
-    for J, l, r, verdict in type1_cells(G, H, max_colors=max_colors):
+    for J, l, r, verdict in _type1_cells(group, H, tables.pool):
         if verdict.perfect:
             continue
-        spec = ColoringSpec.type1(H, J, r, l)
-        key = equivalence_key(spec.partition, H)
-        if key not in entries:
-            if J.members not in cores:
-                cores[J.members] = _core(H, J).mask
-            entries[key] = _entry(spec, key, cores[J.members])
-    out = sorted(entries.values(), key=lambda e: e.key)
-    return out
+        Jl = J.conjugated_by(l).members
+        block = tuple(sorted(Jl + tuple(table[j][r] for j in Jl)))
+        moved = tuple(sorted(table[inverse[r]][e] for e in block))
+        base = min(block, moved)
+        if base in entries:
+            continue
+        stabilizer = tuple(e for e in base if e in H)
+        key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
+        if J.members not in cores:
+            cores[J.members] = tables.core(J)
+        entries[base] = tables.entry(ColoringSpec.type1(H, J, r, l), key, cores[J.members])
+    return sorted(entries.values(), key=lambda e: e.key)
 
 
 def type1_cells(
@@ -292,7 +365,10 @@ def type1_cells(
     representatives of the H-normalizer and r over the conjugated right
     coset representatives, in deterministic order.
     """
-    pool = _subgroup_pool(H, max_colors)
+    return _type1_cells(G, H, _subgroup_pool(H, max_colors))
+
+
+def _type1_cells(G: FiniteGroup, H: Subgroup, pool: Sequence[Subgroup]):
     classes = conjugacy_classes_of_subgroups(pool, whole_group(G))
     for cls in classes:
         J = cls[0]
@@ -360,13 +436,12 @@ def enumerate_all_semiperfect(
     """
     if H_filter is None:
         H_filter = subgroups_of_index(G, 2)
-    selected_kinds = list(kinds)
     entries: list[CensusEntry] = []
     by_part: dict[tuple[str, str], int] = {}
     notes: list[str] = []
     if max_colors is not None and max_colors < 2:
         notes.append("no semiperfect coloring uses fewer than two colors")
-        selected_kinds = []
+        H_filter = []
     if G.descriptor.get("kind") == "p4m_quotient" and max_colors is not None:
         notes.append(
             "quotient realization: only color subgroups containing the "
@@ -374,9 +449,10 @@ def enumerate_all_semiperfect(
         )
     for H in H_filter:
         h_key = generating_words(H)
-        for kind in selected_kinds:
-            pipeline = enumerate_type1 if kind == "type1" else enumerate_type2
-            part = pipeline(G, H, max_colors=max_colors)
+        tables = _BlockTables(G, H, max_colors)  # one subgroup pool per color group
+        for kind in kinds:
+            pipeline = _type1_entries if kind == "type1" else _type2_entries
+            part = pipeline(tables)
             by_part[(h_key, kind)] = len(part)
             entries.extend(part)
     _assert_distinct_keys(entries)

@@ -140,7 +140,17 @@ def cmd_subgroups(args) -> int:
 def cmd_enumerate(args) -> int:
     group = group_from_descriptor(parse_group_arg(args.group))
     if args.H:
-        color_groups = [subgroup_from_words(group, spec) for spec in args.H]
+        color_groups = []
+        given: dict[tuple[int, ...], str] = {}
+        for spec in args.H:
+            H = subgroup_from_words(group, spec)
+            if H.members in given:
+                raise InvalidParameterError(
+                    f"color group <{','.join(H.label_list())}> is given twice: "
+                    f"--H {spec} repeats --H {given[H.members]}"
+                )
+            given[H.members] = spec
+            color_groups.append(H)
     else:
         color_groups = standard_color_groups(group)
     for H in color_groups:

@@ -141,18 +141,20 @@ def _require_inside(J: Subgroup, H: Subgroup, name: str = "J"):
 # -- constructors --------------------------------------------------------------
 
 
-def _translates(H: Subgroup, K: Subgroup, base: Sequence[int]) -> list[tuple[int, ...]]:
-    """The blocks ``h * base`` for h in H, each as a sorted tuple.
+def _translates(
+    group: FiniteGroup, reps: Iterable[int], base: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The blocks ``h * base`` for h in ``reps``, each as a sorted tuple.
 
-    ``K`` is a subgroup of H that fixes ``base`` under left translation, so
-    ``h * base`` depends only on the left coset ``h*K`` and one
-    representative per coset suffices: [H:K] blocks, one sort of |base|
-    members each, after an O(|H|) walk for the representatives.  When K is
-    the whole H-stabilizer of ``base`` the blocks are pairwise distinct; the
-    trivial K builds all |H| translates, repeats included.
+    With ``reps`` the left coset representatives in H of a subgroup K of H
+    that fixes ``base`` under left translation, these are all the blocks
+    ``h * base`` for h in H, because ``h * base`` depends only on the coset
+    ``h*K``: [H:K] blocks, one sort of |base| members each.  When K is the
+    whole H-stabilizer of ``base`` the blocks are pairwise distinct; all of
+    H as ``reps`` builds every translate, repeats included.
     """
-    table = H.group.table
-    return [tuple(sorted(table[h][e] for e in base)) for h in left_coset_reps(H, K)]
+    table = group.table
+    return [tuple(sorted(table[h][e] for e in base)) for h in reps]
 
 
 def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
@@ -165,7 +167,8 @@ def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
     table = group.table
     base = J.members + tuple(table[j][r] for j in J.members)
     # h*(J u J*r) = J u J*r exactly when h*J = J, so J is the stabilizer.
-    return GroupPartition(group, tuple(sorted(_translates(H, J, base))))
+    blocks = _translates(group, left_coset_reps(H, J), base)
+    return GroupPartition(group, tuple(sorted(blocks)))
 
 
 def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> GroupPartition:
@@ -185,8 +188,9 @@ def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = Non
     y0 = smallest_outside(H)
     # h*y0*J2 = y0*J2 exactly when h lies in y0*J2*y0^-1, which H contains
     # because it is normal.
-    blocks = _translates(H, J1, J1.members)
-    blocks += _translates(H, J2.conjugated_by(y0), [table[y0][j] for j in J2.members])
+    blocks = _translates(group, left_coset_reps(H, J1), J1.members)
+    outside_reps = left_coset_reps(H, J2.conjugated_by(y0))
+    blocks += _translates(group, outside_reps, [table[y0][j] for j in J2.members])
     return GroupPartition(group, tuple(sorted(blocks)))
 
 
@@ -200,7 +204,6 @@ def general_partition(
     """
     group = H.group
     table = group.table
-    trivial = Subgroup(group, (group.identity,))
     blocks = set()
     for J, Y in parts:
         _require_inside(J, H, "each part's subgroup")
@@ -208,7 +211,7 @@ def general_partition(
         if not base:
             raise InvalidParameterError("each part needs at least one representative")
         # Every translate, so that overlapping families reach the validation.
-        blocks.update(_translates(H, trivial, base))
+        blocks.update(_translates(group, H.members, base))
     return GroupPartition.from_blocks(group, blocks, validate=True)
 
 

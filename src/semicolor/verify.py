@@ -238,9 +238,11 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
         for entry in entries:
             orbit = equivalence_class(entry.spec.partition, G)
             suite.check(
-                len(orbit) == 2 and entry.key == orbit[0].blocks,
-                lambda: f"orbit size != 2 or key is not the orbit minimum for "
-                f"{entry.key_string()}",
+                len(orbit) == 2
+                and entry.key == orbit[0].blocks
+                and entry.key_string() == orbit[0].key_string(),
+                lambda: f"orbit size != 2, or key or its text is not the orbit minimum "
+                f"for {entry.key_string()}",
             )
             stabs = {partition_stabilizer(G, P).members for P in orbit}
             suite.check(

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from semicolor import census, partitions
 from semicolor.census import (
     ColoringSpec,
     GroupAutomorphism,
@@ -17,6 +18,7 @@ from semicolor.census import (
     standard_color_groups,
     type1_reference_grid,
 )
+from semicolor.cli import _census_csv
 from semicolor.errors import InvalidParameterError
 from semicolor.groups import (
     all_subgroups,
@@ -30,10 +32,13 @@ from semicolor.groups import (
 )
 from semicolor.partitions import (
     SEMIPERFECT,
+    GroupPartition,
     color_action,
     equivalence_key,
     equivalent,
     partition_stabilizer,
+    smallest_outside,
+    type1_partition,
 )
 
 
@@ -220,33 +225,110 @@ class TestFullCensus:
         )
 
 
+# Every index-2 color group of these groups is swept by the closed-form tests.
+SWEEP = ("dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1", "p4m_quotient:2")
+
+
+def _color_group_sweep():
+    for descriptor in SWEEP:
+        G = group_from_descriptor(parse_group_arg(descriptor))
+        for H in subgroups_of_index(G, 2):
+            yield descriptor, G, H
+
+
 def test_closed_form_classification_matches_color_action():
     # Every census entry of every index-2 color group.  D6 alone would not
     # notice a type-2 kernel that forgets to conjugate J2 by y0; D8 and
     # p4m_quotient:2 do.
     checked = 0
-    for descriptor in ("dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1",
-                       "p4m_quotient:2"):
-        G = group_from_descriptor(parse_group_arg(descriptor))
-        for H in subgroups_of_index(G, 2):
-            for entry in enumerate_type1(G, H) + enumerate_type2(G, H):
-                oracle = color_action(H, entry.spec.partition).classification
-                assert entry.classification == oracle, (descriptor, entry.key_string())
-                checked += 1
+    for descriptor, G, H in _color_group_sweep():
+        for entry in enumerate_type1(G, H) + enumerate_type2(G, H):
+            oracle = color_action(H, entry.spec.partition).classification
+            assert entry.classification == oracle, (descriptor, entry.key_string())
+            checked += 1
     assert checked == 5617
 
 
 def test_type2_keys_match_equivalence_key():
     # The type-2 pipeline takes the orbit key in closed form, without
     # translating the partition; equivalence_key translates it.
-    for descriptor in ("dihedral:6", "dihedral:8", "dihedral:12", "p4m_quotient:1",
-                       "p4m_quotient:2"):
-        G = group_from_descriptor(parse_group_arg(descriptor))
-        for H in subgroups_of_index(G, 2):
-            for entry in enumerate_type2(G, H):
-                assert entry.key == equivalence_key(entry.spec.partition, H), (
-                    descriptor, entry.key_string()
+    for descriptor, G, H in _color_group_sweep():
+        for entry in enumerate_type2(G, H):
+            assert entry.key == equivalence_key(entry.spec.partition, H), (
+                descriptor, entry.key_string()
+            )
+
+
+def test_type1_keys_match_equivalence_key():
+    # An element y outside H sends P(J, r) to P(r^-1*J*r, r^-1), so the
+    # type-1 orbit key is the smaller of the two; equivalence_key translates.
+    cells = entries = 0
+    for descriptor, G, H in _color_group_sweep():
+        y = smallest_outside(H)
+        for J in all_subgroups(H):
+            for r in H.complement():
+                ri = G.inv(r)
+                moved = type1_partition(H, J.conjugated_by(ri), ri).blocks
+                P = type1_partition(H, J, r)
+                assert P.translated(y).blocks == P.translated(ri).blocks == moved, (
+                    descriptor, J, G.labels[r]
                 )
+                cells += 1
+        for entry in enumerate_type1(G, H):
+            assert entry.key == equivalence_key(entry.spec.partition, H), (
+                descriptor, entry.key_string()
+            )
+            entries += 1
+    assert (cells, entries) == (4652, 452)
+
+
+def test_key_strings_match_partition_text():
+    # key_string joins shared block texts; GroupPartition builds its own.
+    checked = 0
+    for descriptor, G, H in _color_group_sweep():
+        for entry in enumerate_all_semiperfect(G, H_filter=[H]).entries:
+            assert entry.key_string() == GroupPartition(G, entry.key).key_string(), (
+                descriptor, entry.key
+            )
+            checked += 1
+    assert checked == 5617
+
+
+def test_census_builds_no_partition(monkeypatch):
+    # Census keys and their text come from the block tables; the partition
+    # builders and the translating orbit key are left to verify, table1 and
+    # ColoringSpec.partition.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("equivalence_key", "type1_partition", "type2_partition"):
+        wrapper = counted(name, getattr(partitions, name))
+        monkeypatch.setattr(partitions, name, wrapper)
+        monkeypatch.setattr(census, name, wrapper)
+    monkeypatch.setattr(
+        GroupPartition, "translated", counted("translated", GroupPartition.translated)
+    )
+    entries = 0
+    for descriptor, G, H in _color_group_sweep():
+        result = enumerate_all_semiperfect(G, H_filter=[H])
+        result.serialize()
+        _census_csv(result)
+        entries += result.total
+    assert entries == 5617
+    assert calls == Counter()
+
+    # The counters see the builders when something does call them.
+    G = group_from_descriptor(parse_group_arg("dihedral:6"))
+    H = subgroup_from_words(G, "a2,b")
+    type1_reference_grid(G, H)
+    ColoringSpec.type2(H, H, subgroup_from_words(G, "b")).partition
+    assert set(calls) == {"equivalence_key", "type1_partition", "type2_partition", "translated"}
 
 
 class TestSpecSerialization:

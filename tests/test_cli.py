@@ -109,6 +109,14 @@ class TestEnumerateCommand:
     def test_non_index_two_color_group_rejected(self, capsys):
         assert main(["enumerate", "--group", "dihedral:6", "--H", "a2"]) == 2
 
+    @pytest.mark.parametrize("first, second", [("a2,b", "a2,b"), ("a2,b", "b,a2"), ("a", "a5")])
+    def test_repeated_color_group_rejected(self, capsys, first, second):
+        argv = ["enumerate", "--group", "dihedral:6", "--H", first, "--H", second]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: color group <")
+        assert f"is given twice: --H {second} repeats --H {first}" in err
+
 
 class TestTableCommand:
     def test_row_count_and_back_references(self, capsys):
