@@ -46,6 +46,17 @@ subgroup of K normal in H and y0 the smallest element outside H:
 ``color_action`` and ``partition_stabilizer``, which permute blocks, are
 the oracles that ``verify`` and the tests hold these closed forms against;
 the census never calls them.
+
+``Census.serialize`` writes the census JSON byte-identical to
+``json.dumps(census.to_json(), indent=2, sort_keys=True)``, whose indenting
+encoder is pure Python, without calling it on the entries.  Each entry is
+a fixed frame, keys in sorted order, joining text encoded once per census:
+every element label, the group descriptor, and the label list of each
+distinct subgroup.  A value whose key sits d levels deep is the
+``json.dumps`` text with every line break followed by d more indents; JSON
+text holds no raw newline elsewhere, so escaping stays ``json``'s own.
+``Census.to_json`` is kept as the oracle that ``verify`` and the tests hold
+the writer against.
 """
 
 from __future__ import annotations
@@ -410,16 +421,87 @@ class Census:
         return len(self.entries)
 
     def to_json(self) -> dict:
+        """The census as one JSON value: the oracle of ``serialize``."""
         return {
             "group": self.group.descriptor,
             "total": self.total,
-            "byPart": {f"{h}|{kind}": n for (h, kind), n in sorted(self.by_part.items())},
+            "byPart": self._by_part_json(),
             "entries": [e.to_json() for e in self.entries],
             "notes": list(self.notes),
         }
 
+    def _by_part_json(self) -> dict[str, int]:
+        return {f"{h}|{kind}": n for (h, kind), n in sorted(self.by_part.items())}
+
     def serialize(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
+        joined from text encoded once per census (see the module docstring)."""
+        labels = [json.dumps(label) for label in self.group.labels]
+        group = _indented(self.group.descriptor, 4)
+        lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
+
+        def members(S: Subgroup) -> str:
+            text = lists.get(S.members)
+            if text is None:
+                text = lists[S.members] = _indented(S.label_list(), 4)
+            return text
+
+        entries = []
+        for e in self.entries:
+            s, c = e.spec, e.classification
+            if s.kind == "type1":
+                head = f'"J": {members(s.J)}'
+                tail = f'"l": {labels[s.l]},\n        "r": {labels[s.r]}'
+            else:
+                head = f'"J1": {members(s.J1)},\n        "J2": {members(s.J2)}'
+                tail = f'"y": {labels[s.y]}'
+            entries.append(
+                _ENTRY.format(
+                    c=c,
+                    key=json.dumps(e.key_string()),
+                    H=members(s.H),
+                    head=head,
+                    group=group,
+                    kind=json.dumps(s.kind),
+                    tail=tail,
+                    verdict=json.dumps(c.verdict),
+                )
+            )
+        listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        return (
+            f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n'
+            f'  "entries": {listed},\n'
+            f'  "group": {_indented(self.group.descriptor, 1)},\n'
+            f'  "notes": {_indented(self.notes, 1)},\n'
+            f'  "total": {json.dumps(self.total)}\n}}\n'
+        )
+
+
+# One census entry as ``json.dumps(indent=2, sort_keys=True)`` writes it inside
+# the top-level "entries" list; the keys of both objects are in sorted order.
+_ENTRY = """\
+    {{
+      "colorPermGroupOrder": {c.color_perm_group_order},
+      "equivalenceKey": {key},
+      "kernelOrder": {c.kernel_order},
+      "numColorOrbits": {c.num_color_orbits},
+      "numColors": {c.num_colors},
+      "spec": {{
+        "H": {H},
+        {head},
+        "group": {group},
+        "kind": {kind},
+        {tail}
+      }},
+      "verdict": {verdict}
+    }}"""
+
+
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a value whose key
+    sits ``depth`` levels deep.  JSON text holds no raw newline outside its
+    layout, so indenting every line break is exact."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
 def enumerate_all_semiperfect(

@@ -31,7 +31,7 @@ from .groups import (
     subgroups_of_index,
     whole_group,
 )
-from .render import PALETTES, render_svg
+from .render import MAX_CELLS, PALETTES, render_svg
 from .tiles import tile_map_for, transfer_table
 from .verify import run_verification
 
@@ -92,7 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="coloring spec JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--palette", default="default", help=f"one of {sorted(PALETTES)}")
-    p.add_argument("--cells", default="1x1", help="repeat blocks for p4m, e.g. 2x2")
+    p.add_argument(
+        "--cells",
+        default="1x1",
+        help=f"repeat blocks for p4m, e.g. 2x2; at most {MAX_CELLS} blocks in all (exit 3)",
+    )
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser(

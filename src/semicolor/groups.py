@@ -779,11 +779,22 @@ def generating_words(sub: Subgroup) -> str:
     if sub.order == 1:
         return "{e}"
     non_identity = [m for m in sub.members if m != group.identity]
-    sizes = (1, 2) if len(non_identity) > 24 else (1, 2, 3)
-    for size in sizes:
-        for gens in combinations(non_identity, size):
-            if _close_under_products(group, gens) == sub.members:
-                return "<" + ",".join(group.labels[g] for g in gens) + ">"
+    n = len(non_identity)
+    # The first 1-, 2- or 3-element subset in lexicographic order that
+    # generates sub.  For a fixed prefix, a candidate inside <prefix, c> for
+    # a rejected c generates a subgroup of that proper subgroup, so it is
+    # skipped unclosed.
+    for size in (1, 2) if n > 24 else (1, 2, 3):
+        for prefix in combinations(range(n), size - 1):
+            gens = [non_identity[i] for i in prefix]
+            rejected: set[int] = set()
+            for c in non_identity[prefix[-1] + 1 if prefix else 0:]:
+                if c in rejected:
+                    continue
+                closed = _close_under_products(group, gens + [c])
+                if closed == sub.members:
+                    return "<" + ",".join(group.labels[g] for g in gens + [c]) + ">"
+                rejected.update(closed)
     return "<" + ",".join(group.labels[g] for g in _greedy_generators(sub)) + ">"
 
 

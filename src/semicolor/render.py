@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 from .tiles import TileMap
 
 PALETTES: dict[str, tuple[str, ...]] = {
@@ -26,6 +26,9 @@ PALETTES: dict[str, tuple[str, ...]] = {
 
 #: SVG user units per unit of pattern length.
 SCALE = 100.0
+
+#: Most repeat blocks one SVG draws: 64x64, 4,096 cells.
+MAX_CELLS = 64 * 64
 
 
 def _fmt(x: float) -> str:
@@ -46,8 +49,9 @@ def render_svg(
     """Render a coloring (label -> block index) of a tile map as SVG.
 
     For repeating patterns ``cells`` draws an m-by-n array of repeat
-    blocks.  Block boundaries and the pattern outline are stroked; edges
-    interior to a block are not.
+    blocks, at most ``MAX_CELLS`` of them; more raise ResourceLimitError
+    before anything is drawn.  Block boundaries and the pattern outline
+    are stroked; edges interior to a block are not.
     """
     missing = [lab for lab in tile_map.domains if lab not in block_of]
     if missing:
@@ -59,6 +63,10 @@ def render_svg(
         raise InvalidParameterError(f"cells must be at least 1x1, got {cells[0]}x{cells[1]}")
     shifts = [(0.0, 0.0)]
     if tile_map.cell is not None:
+        if cells[0] * cells[1] > MAX_CELLS:
+            raise ResourceLimitError(
+                f"{cells[0]}x{cells[1]} cells exceed the bound of {MAX_CELLS} repeat blocks"
+            )
         cx, cy = tile_map.cell
         shifts = [(i * cx, j * cy) for i in range(cells[0]) for j in range(cells[1])]
     elif cells != (1, 1):

@@ -294,6 +294,66 @@ def test_key_strings_match_partition_text():
     assert checked == 5617
 
 
+def _oracle_text(result):
+    return json.dumps(result.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def test_serialize_matches_json_dumps():
+    # serialize joins stored fragments; json.dumps of to_json is the oracle.
+    checked = 0
+    for descriptor, G, H in _color_group_sweep():
+        result = enumerate_all_semiperfect(G, H_filter=[H])
+        assert result.serialize() == _oracle_text(result), descriptor
+        checked += result.total
+    assert checked == 5617
+
+
+@pytest.mark.parametrize(
+    "descriptor, options, by_part, notes",
+    [
+        # No parts and no entries, one note.
+        ("dihedral:6", {"max_colors": 1}, {}, 1),
+        (
+            "dihedral:8",
+            {"kinds": ("type1",)},
+            {"<a>|type1": 0, "<a^2,ab>|type1": 13, "<a^2,b>|type1": 13},
+            0,
+        ),
+        (
+            "dihedral:8",
+            {"kinds": ("type2",)},
+            {"<a>|type2": 6, "<a^2,ab>|type2": 45, "<a^2,b>|type2": 45},
+            0,
+        ),
+        # A part with no entries beside nonempty ones.
+        (
+            "dihedral:6",
+            {},
+            {"<a>|type1": 0, "<a>|type2": 6, "<a^2,b>|type1": 4, "<a^2,b>|type2": 15},
+            0,
+        ),
+        # A color cap on a quotient adds the quotient note.
+        (
+            "p4m_quotient:2",
+            {"max_colors": 4},
+            {
+                "<xy,a,b>|type1": 22,
+                "<xy,a,b>|type2": 28,
+                "<xy,ya,yb>|type1": 22,
+                "<xy,ya,yb>|type2": 28,
+            },
+            1,
+        ),
+    ],
+    ids=["no-entries", "type1-only", "type2-only", "empty-part", "quotient-note"],
+)
+def test_serialize_matches_json_dumps_edge_cases(descriptor, options, by_part, notes):
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    result = enumerate_all_semiperfect(G, H_filter=standard_color_groups(G), **options)
+    assert (result.to_json()["byPart"], len(result.notes)) == (by_part, notes)
+    assert result.serialize() == _oracle_text(result)
+
+
 def test_census_builds_no_partition(monkeypatch):
     # Census keys and their text come from the block tables; the partition
     # builders and the translating orbit key are left to verify, table1 and

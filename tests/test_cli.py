@@ -188,6 +188,15 @@ class TestRenderCommand:
 
     @pytest.mark.parametrize("cells", ["0x0", "-1x2", "2x0", "0"])
     def test_cells_below_one_exit_two(self, tmp_path, capsys, cells):
+        self._assert_render_rejects(tmp_path, capsys, cells, 2)
+
+    # More than 64x64 repeat blocks are refused before anything is drawn.
+    @pytest.mark.parametrize("cells", ["65x64", "4097x1"])
+    def test_cells_above_bound_exit_three(self, tmp_path, capsys, cells):
+        self._assert_render_rejects(tmp_path, capsys, cells, 3)
+
+    @staticmethod
+    def _assert_render_rejects(tmp_path, capsys, cells, code):
         spec = {
             "group": {"kind": "p4m_quotient", "N": 1},
             "H": ["e", "a^2", "b", "a^2b"],
@@ -198,7 +207,7 @@ class TestRenderCommand:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         out = tmp_path / "out.svg"
-        assert main(["render", str(path), f"--cells={cells}", "--out", str(out)]) == 2
+        assert main(["render", str(path), f"--cells={cells}", "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()

@@ -20,6 +20,7 @@ from semicolor.groups import (
     subgroup_from_words,
     subgroup_generated,
     subgroups_of_index,
+    subgroups_of_index_at_most,
     whole_group,
     all_subgroups,
     Subgroup,
@@ -313,6 +314,36 @@ class TestConjugacyOrbitsUnderGenerators:
     def test_family_not_closed_under_conjugation_rejected(self, d6, hexH):
         with pytest.raises(InvalidParameterError, match="leaves the given subgroup family"):
             conjugacy_classes_of_subgroups([subgroup_from_words(d6, "b")], whole_group(d6))
+
+
+def exhaustive_generating_words(sub):
+    """The display word by closing every 1-, 2- and 3-element subset in
+    lexicographic order; generating_words must return the same word."""
+    group = sub.group
+    if sub.order == 1:
+        return "{e}"
+    non_identity = [m for m in sub.members if m != group.identity]
+    sizes = (1, 2) if len(non_identity) > 24 else (1, 2, 3)
+    for size in sizes:
+        for gens in combinations(non_identity, size):
+            if groups._close_under_products(group, gens) == sub.members:
+                return "<" + ",".join(group.labels[g] for g in gens) + ">"
+    return "<" + ",".join(group.labels[g] for g in groups._greedy_generators(sub)) + ">"
+
+
+def test_generating_words_matches_exhaustive_search():
+    subs = []
+    for descriptor in (
+        "dihedral:6", "dihedral:8", "dihedral:12", "dihedral:16", "dihedral:24",
+        "p4m_quotient:1", "p4m_quotient:2", "p4m_quotient:3",
+    ):
+        subs += all_subgroups(whole_group(group_from_descriptor(parse_group_arg(descriptor))))
+    # Order-64 subgroups hold more than 24 non-identity members, so these
+    # take the 1- and 2-element search and the greedy fallback.
+    subs += subgroups_of_index_at_most(whole_group(build_p4m_quotient(4)), 8)
+    for sub in subs:
+        assert generating_words(sub) == exhaustive_generating_words(sub), sub.members
+    assert len(subs) == 551
 
 
 class TestPerfectCosetCount:
