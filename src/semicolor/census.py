@@ -30,9 +30,11 @@ blocks h*base are then one sort per representative (``_translates``).  A
 type-2 key is ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the
 left cosets of J and ``outside[J]`` the H-translates of y0*J, both built
 once per J.  The ``equivalenceKey`` text of a key joins one stored string
-per block.  ``type1_partition``, ``type2_partition``, ``equivalence_key``
-and ``GroupPartition.translated`` are left to ``ColoringSpec.partition``,
-``verify``, ``table1`` and the tests.
+per block.  ``table1`` numbers its cells by the same type-1 identity block
+(``_type1_base``), so it neither builds nor translates a partition.
+``type1_partition`` and ``type2_partition`` are left to
+``ColoringSpec.partition``, ``verify`` and the tests, and the translating
+orbit key and ``GroupPartition.translated`` to ``verify`` and the tests.
 
 The classification of each entry follows from H and the subgroups alone.
 Every entry is semiperfect by construction (perfect one-orbit cells are
@@ -64,7 +66,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
@@ -89,9 +91,9 @@ from .partitions import (
     Classification,
     GroupPartition,
     TypeOneVerdict,
+    canonical_blocks,
     classify_type1,
     classify_type2,
-    equivalence_key,
     smallest_outside,
     type1_partition,
     type2_partition,
@@ -137,7 +139,7 @@ class ColoringSpec:
     def verdict(self) -> str:
         if self.kind == "type1":
             return classify_type1(self.J.conjugated_by(self.l), self.r, self.H).verdict
-        return classify_type2(self.J1, self.J2)
+        return classify_type2(self.J1, self.J2, self.H)
 
     def to_json(self) -> dict:
         group = self.group
@@ -345,7 +347,6 @@ def enumerate_type1(
 def _type1_entries(tables: _BlockTables) -> list[CensusEntry]:
     H = tables.H
     group = H.group
-    table, inverse = group.table, group.inverse
     # One entry per identity block of a key (see the module docstring).
     entries: dict[tuple[int, ...], CensusEntry] = {}
     # l lies in H, so core_H(l*J*l^-1) = core_H(J): one core per class.
@@ -353,10 +354,7 @@ def _type1_entries(tables: _BlockTables) -> list[CensusEntry]:
     for J, l, r, verdict in _type1_cells(group, H, tables.pool):
         if verdict.perfect:
             continue
-        Jl = J.conjugated_by(l).members
-        block = tuple(sorted(Jl + tuple(table[j][r] for j in Jl)))
-        moved = tuple(sorted(table[inverse[r]][e] for e in block))
-        base = min(block, moved)
+        base = _type1_base(group, J.conjugated_by(l), r)
         if base in entries:
             continue
         stabilizer = tuple(e for e in base if e in H)
@@ -365,6 +363,17 @@ def _type1_entries(tables: _BlockTables) -> list[CensusEntry]:
             cores[J.members] = tables.core(J)
         entries[base] = tables.entry(ColoringSpec.type1(H, J, r, l), key, cores[J.members])
     return sorted(entries.values(), key=lambda e: e.key)
+
+
+def _type1_base(group: FiniteGroup, J: Subgroup, r: int) -> tuple[int, ...]:
+    """The identity block of the type-1 orbit key of P(J, r): the smaller of
+    B = J u J*r and r^-1*B (see the module docstring).  The key is the set of
+    H-translates of this block, so two cells are equivalent exactly when
+    their blocks are equal."""
+    table = group.table
+    block = tuple(sorted(J.members + tuple(table[j][r] for j in J.members)))
+    moved = tuple(sorted(table[group.inverse[r]][e] for e in block))
+    return min(block, moved)
 
 
 def type1_cells(
@@ -572,7 +581,7 @@ def type1_reference_grid(G: FiniteGroup, H: Subgroup) -> list[GridRow]:
         if verdict.perfect:
             rows.append(GridRow(J, l, r, PERFECT, PERFECT))
             continue
-        key = equivalence_key(type1_partition(H, J.conjugated_by(l), r), H)
+        key = _type1_base(G, J.conjugated_by(l), r)
         if key in first_seen:
             note = f"equivalent to ({first_seen[key]})"
         else:
@@ -612,31 +621,36 @@ class GroupAutomorphism:
         return cls(group, tuple(range(group.order)))
 
     @classmethod
-    def from_images(cls, group: FiniteGroup, images: Sequence[int]) -> "GroupAutomorphism":
-        images = tuple(images)
-        if sorted(images) != list(range(group.order)):
-            raise InvalidParameterError("automorphism images are not a bijection")
-        table = group.table
-        for g in range(group.order):
-            row = table[g]
-            img_g = images[g]
-            for h in range(group.order):
-                if images[row[h]] != table[img_g][images[h]]:
-                    raise InvalidParameterError(
-                        "map does not preserve the group operation at "
-                        f"({group.labels[g]}, {group.labels[h]})"
-                    )
-        return cls(group, images)
-
-    @classmethod
     def from_generator_images(
         cls, group: FiniteGroup, images: dict[str, int | str]
     ) -> "GroupAutomorphism":
-        resolved = {
-            name: (group.element(img) if isinstance(img, str) else img)
-            for name, img in images.items()
-        }
-        return cls.from_images(group, group.extend_generator_map(resolved))
+        """The automorphism sending each declared generator to its image.
+
+        Starting from e -> e, each image is added and the map closed under
+        products (``_close_map``); images that conflict there, a map that is
+        not injective, or generators that do not reach the whole group raise.
+        """
+        names = set(group.generators)
+        if names != set(images):
+            raise InvalidParameterError(
+                f"generator images must name exactly the generators {sorted(names)}"
+            )
+        e = group.identity
+        pmap, rmap = {e: e}, {e: e}
+        for name, g in group.generators.items():
+            img = images[name]
+            img = group.element(img) if isinstance(img, str) else img
+            if (
+                pmap.setdefault(g, img) != img
+                or rmap.setdefault(img, g) != g
+                or not _close_map(group.table, pmap, rmap, [g], lambda p, q: True)
+            ):
+                raise InvalidParameterError(
+                    f"generator images do not extend to an automorphism (at {name})"
+                )
+        if len(pmap) != group.order:
+            raise InvalidParameterError("declared generators do not generate the group")
+        return cls(group, tuple(pmap[g] for g in range(group.order)))
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -645,10 +659,9 @@ class GroupAutomorphism:
         return Subgroup(self.group, tuple(sorted(self.images[m] for m in S.members)))
 
     def apply_partition(self, P: GroupPartition) -> GroupPartition:
-        return GroupPartition.from_blocks(
+        return GroupPartition(
             self.group,
-            (tuple(self.images[e] for e in block) for block in P.blocks),
-            validate=False,
+            canonical_blocks(tuple(self.images[e] for e in block) for block in P.blocks),
         )
 
     def generator_map(self) -> dict[str, str]:
@@ -712,6 +725,42 @@ def action_equivalence_check(
     return True, f
 
 
+def _close_map(
+    table: Sequence[Sequence[int]],
+    pmap: dict[int, int],
+    rmap: dict[int, int],
+    fresh: list[int],
+    compatible: Callable[[int, int], bool],
+) -> bool:
+    """Close the partial map ``pmap`` (inverse ``rmap``) under products, in
+    place, after the points ``fresh`` were added.
+
+    Every product g*h and h*g of a fresh point g with a mapped point h must
+    go to the product of their images; a new point is mapped and queued.
+    Returns False when a product already has another image, when an image
+    is already taken, or when ``compatible(point, image)`` fails.
+    """
+    queue = list(fresh)
+    while queue:
+        g = queue.pop()
+        img_g = pmap[g]
+        for h in list(pmap):
+            img_h = pmap[h]
+            for p, q in ((table[g][h], table[img_g][img_h]),
+                         (table[h][g], table[img_h][img_g])):
+                known = pmap.get(p)
+                if known is not None:
+                    if known != q:
+                        return False
+                    continue
+                if q in rmap or not compatible(p, q):
+                    return False
+                pmap[p] = q
+                rmap[q] = p
+                queue.append(p)
+    return True
+
+
 def find_conjugating_automorphism(
     G: FiniteGroup, H: Subgroup, H2: Subgroup
 ) -> GroupAutomorphism | None:
@@ -738,27 +787,6 @@ def find_conjugating_automorphism(
     def compatible(g: int, img: int) -> bool:
         return (g in h_set) == (img in h2_set)
 
-    def close(pmap: dict[int, int], rmap: dict[int, int], fresh: list[int]) -> bool:
-        queue = list(fresh)
-        while queue:
-            g = queue.pop()
-            img_g = pmap[g]
-            for h in list(pmap):
-                img_h = pmap[h]
-                for p, q in ((table[g][h], table[img_g][img_h]),
-                             (table[h][g], table[img_h][img_g])):
-                    known = pmap.get(p)
-                    if known is not None:
-                        if known != q:
-                            return False
-                        continue
-                    if q in rmap or not compatible(p, q):
-                        return False
-                    pmap[p] = q
-                    rmap[q] = p
-                    queue.append(p)
-        return True
-
     def search(i: int, pmap: dict[int, int], rmap: dict[int, int]):
         if i == len(gen_names):
             if len(pmap) == G.order:
@@ -774,7 +802,7 @@ def find_conjugating_automorphism(
             rtrial = dict(rmap)
             trial[g] = img
             rtrial[img] = g
-            if close(trial, rtrial, [g]):
+            if _close_map(table, trial, rtrial, [g], compatible):
                 found = search(i + 1, trial, rtrial)
                 if found is not None:
                     return found

@@ -30,8 +30,6 @@ from .partitions import SEMIPERFECT, classify_type1
 Vec = tuple[Fraction, Fraction]
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY_MAT: Mat = ((1, 0), (0, 1))
-
 #: Canonical line normals for the four p4m axis directions.
 CANONICAL_NORMALS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
@@ -116,18 +114,13 @@ class SymmetryDiagram:
 
         return {
             "modulus": self.modulus,
-            "mirrors": [line_json(l) for l in sorted(self.mirrors, key=_line_sort_key)],
-            "glides": [line_json(l) for l in sorted(self.glides, key=_line_sort_key)],
+            "mirrors": [line_json(l) for l in sorted(self.mirrors)],
+            "glides": [line_json(l) for l in sorted(self.glides)],
             "centers": [
                 {"point": [str(p[0]), str(p[1])], "order": k}
-                for (p, k) in sorted(self.centers, key=lambda c: (c[0], c[1]))
+                for (p, k) in sorted(self.centers)
             ],
         }
-
-
-def _line_sort_key(line):
-    (n, c) = line
-    return (n, c)
 
 
 def _reduce_point(p: Vec, N: int) -> Vec:

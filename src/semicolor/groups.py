@@ -216,61 +216,6 @@ class FiniteGroup:
     def elements_from_words(self, words: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.element(w) for w in words)
 
-    # -- factorizations (for extending maps defined on generators) -----------
-
-    @cached_property
-    def _bfs_factorization(self):
-        """BFS spanning data: discovery order, parent, and generator step.
-
-        Every element g satisfies ``g = parent[g] * step`` where step is a
-        generator or a generator inverse, so any map defined on generators
-        extends along the tree.
-        """
-        symbols = []
-        for name in self.generators:
-            g = self.generators[name]
-            symbols.append((name, False))
-            if self.inverse[g] != g:
-                symbols.append((name, True))
-        order = [self.identity]
-        parent: dict[int, tuple[int, str, bool]] = {}
-        seen = {self.identity}
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for name, invert in symbols:
-                g = self.generators[name]
-                if invert:
-                    g = self.inverse[g]
-                nxt = self.table[h][g]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (h, name, invert)
-                    order.append(nxt)
-        if len(order) != self.order:
-            raise InvalidParameterError("declared generators do not generate the group")
-        return tuple(order), parent
-
-    def extend_generator_map(self, images: dict[str, int]) -> tuple[int, ...]:
-        """Extend ``generator name -> element`` along products to all of G.
-
-        No homomorphism property is checked here; see GroupAutomorphism.
-        """
-        missing = set(self.generators) - set(images)
-        if missing:
-            raise InvalidParameterError(f"missing generator images: {sorted(missing)}")
-        order, parent = self._bfs_factorization
-        out = [0] * self.order
-        out[self.identity] = self.identity
-        for g in order[1:]:
-            h, name, invert = parent[g]
-            step = images[name]
-            if invert:
-                step = self.inverse[step]
-            out[g] = self.table[out[h]][step]
-        return tuple(out)
-
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 

@@ -41,14 +41,10 @@ class GroupPartition:
 
     @classmethod
     def from_blocks(
-        cls,
-        group: FiniteGroup,
-        blocks: Iterable[Iterable[int]],
-        validate: bool = True,
+        cls, group: FiniteGroup, blocks: Iterable[Iterable[int]]
     ) -> "GroupPartition":
         canon = canonical_blocks(blocks)
-        if validate:
-            _validate_partition(group, canon)
+        _validate_partition(group, canon)
         return cls(group, canon)
 
     @cached_property
@@ -212,7 +208,7 @@ def general_partition(
             raise InvalidParameterError("each part needs at least one representative")
         # Every translate, so that overlapping families reach the validation.
         blocks.update(_translates(group, H.members, base))
-    return GroupPartition.from_blocks(group, blocks, validate=True)
+    return GroupPartition.from_blocks(group, blocks)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -277,12 +273,11 @@ def classify_type1(J: Subgroup, r: int, H: Subgroup) -> TypeOneVerdict:
     )
 
 
-def classify_type2(J1: Subgroup, J2: Subgroup, H: Subgroup | None = None) -> str:
+def classify_type2(J1: Subgroup, J2: Subgroup, H: Subgroup) -> str:
     """Perfect iff J1 = J2 (for the coset-family form built here)."""
-    if H is not None:
-        _require_index_two(H)
-        _require_inside(J1, H, "J1")
-        _require_inside(J2, H, "J2")
+    _require_index_two(H)
+    _require_inside(J1, H, "J1")
+    _require_inside(J2, H, "J2")
     if J1.group is not J2.group:
         raise InvalidParameterError("subgroups live in different ambient groups")
     return PERFECT if J1.members == J2.members else SEMIPERFECT

@@ -16,6 +16,7 @@ from semicolor.census import (
     find_conjugating_automorphism,
     reference_grid_csv,
     standard_color_groups,
+    type1_cells,
     type1_reference_grid,
 )
 from semicolor.cli import _census_csv
@@ -355,9 +356,9 @@ def test_serialize_matches_json_dumps_edge_cases(descriptor, options, by_part, n
 
 
 def test_census_builds_no_partition(monkeypatch):
-    # Census keys and their text come from the block tables; the partition
-    # builders and the translating orbit key are left to verify, table1 and
-    # ColoringSpec.partition.
+    # Census keys and their text, and the numbering of table1, come from
+    # block tables and identity blocks; the partition builders and the
+    # translating orbit key are left to verify and ColoringSpec.partition.
     calls = Counter()
 
     def counted(name, fn):
@@ -369,8 +370,9 @@ def test_census_builds_no_partition(monkeypatch):
 
     for name in ("equivalence_key", "type1_partition", "type2_partition"):
         wrapper = counted(name, getattr(partitions, name))
-        monkeypatch.setattr(partitions, name, wrapper)
-        monkeypatch.setattr(census, name, wrapper)
+        for module in (partitions, census):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     monkeypatch.setattr(
         GroupPartition, "translated", counted("translated", GroupPartition.translated)
     )
@@ -381,14 +383,44 @@ def test_census_builds_no_partition(monkeypatch):
         _census_csv(result)
         entries += result.total
     assert entries == 5617
+    d6 = group_from_descriptor(parse_group_arg("dihedral:6"))
+    grids = [(d6, subgroup_from_words(d6, "a2,b"))]
+    g2 = group_from_descriptor(parse_group_arg("p4m_quotient:2"))
+    grids += [(g2, H) for H in subgroups_of_index(g2, 2)]
+    assert len(grids) == 8
+    for G, H in grids:
+        reference_grid_csv(G, H)
     assert calls == Counter()
 
     # The counters see the builders when something does call them.
-    G = group_from_descriptor(parse_group_arg("dihedral:6"))
-    H = subgroup_from_words(G, "a2,b")
-    type1_reference_grid(G, H)
-    ColoringSpec.type2(H, H, subgroup_from_words(G, "b")).partition
+    d6, H = grids[0]
+    spec = ColoringSpec.type1(H, subgroup_from_words(d6, "b"), d6.element("a"))
+    partitions.equivalence_key(spec.partition, H)
+    ColoringSpec.type2(H, H, subgroup_from_words(d6, "b")).partition
     assert set(calls) == {"equivalence_key", "type1_partition", "type2_partition", "translated"}
+
+
+def test_reference_grid_matches_equivalence_key_numbering():
+    # type1_reference_grid numbers cells by their type-1 identity block; the
+    # oracle numbers them by the translated orbit key of the built partition.
+    rows = 0
+    for descriptor, G, H in _color_group_sweep():
+        expected, first_seen = [], {}
+        for J, l, r, verdict in type1_cells(G, H):
+            if verdict.perfect:
+                expected.append((J, l, r, "perfect", "perfect"))
+                continue
+            key = equivalence_key(type1_partition(H, J.conjugated_by(l), r), H)
+            if key in first_seen:
+                note = f"equivalent to ({first_seen[key]})"
+            else:
+                first_seen[key] = len(first_seen) + 1
+                note = f"({first_seen[key]}) semiperfect"
+            expected.append((J, l, r, SEMIPERFECT, note))
+        got = [(g.J, g.l, g.r, g.verdict, g.note) for g in type1_reference_grid(G, H)]
+        assert got == expected, (descriptor, generating_words(H))
+        rows += len(got)
+    assert rows == 1287
 
 
 class TestSpecSerialization:
@@ -419,6 +451,40 @@ class TestAutomorphisms:
         assert d6.labels[alpha(d6.element("a2"))] == "a^4"
         with pytest.raises(InvalidParameterError):
             GroupAutomorphism.from_generator_images(d6, {"a": "a2", "b": "b"})
+
+    @pytest.mark.parametrize("n, count", [(6, 12), (8, 32), (12, 48)])
+    def test_generator_images_accept_exactly_the_automorphisms(self, n, count):
+        # Aut(D_n) has n*phi(n) elements, one per image pair of a and b.
+        G = group_from_descriptor(parse_group_arg(f"dihedral:{n}"))
+        accepted = 0
+        for img_a in G.elements:
+            for img_b in G.elements:
+                images = {"a": img_a, "b": img_b}
+                try:
+                    alpha = GroupAutomorphism.from_generator_images(G, images)
+                except InvalidParameterError:
+                    continue
+                accepted += 1
+                assert sorted(alpha.images) == list(G.elements)
+                for g in G.elements:
+                    for h in G.elements:
+                        assert alpha(G.table[g][h]) == G.table[alpha(g)][alpha(h)]
+                assert {name: alpha(G.generators[name]) for name in images} == images
+        assert accepted == count
+
+    @pytest.mark.parametrize(
+        "images",
+        [{"a": "b", "b": "b"}, {"a": "e", "b": "b", "c": "e"}, {"b": "b"}],
+        ids=["identity-generator-moved", "unknown-name", "missing-name"],
+    )
+    def test_generator_images_that_would_be_dropped_raise(self, images):
+        # In D_1 the declared generator a is the identity, so its image must
+        # be e; every given image names a declared generator, and every
+        # declared generator needs one.
+        G = group_from_descriptor(parse_group_arg("dihedral:1"))
+        assert G.generators["a"] == G.identity
+        with pytest.raises(InvalidParameterError):
+            GroupAutomorphism.from_generator_images(G, images)
 
     def test_transported_worked_example(self, d6, hexH):
         alpha = GroupAutomorphism.from_generator_images(d6, {"a": "a5", "b": "ab"})

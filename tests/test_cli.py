@@ -238,5 +238,22 @@ class TestConjugateCommand:
         header = lines.index("domain,original,image,new")
         assert len(lines) - header - 1 == 12
 
+    def test_map_that_drops_an_image_exits_two(self, tmp_path, capsys):
+        # In p4m_quotient:1 the generators x and y are the identity, so the
+        # image a^2 given for x extends to no automorphism.
+        spec = {
+            "group": {"kind": "p4m_quotient", "N": 1},
+            "H": ["e", "a", "a^2", "a^3"],
+            "kind": "type2",
+            "J1": ["e"],
+            "J2": ["e", "a^2"],
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["conjugate", str(path), "--map", "a=a,b=b,x=a2,y=b"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_requires_map_or_target(self, capsys, four_color_spec_file):
         assert main(["conjugate", str(four_color_spec_file)]) == 2

@@ -80,3 +80,14 @@ def test_quad_palette_svg(tmp_path, capsys):
     assert _sha(out.read_bytes()) == (
         "acbdb7623195ca22d1a2949b7803984466c218486fa980bb26e79ca73ec99962"
     )
+
+
+def test_conjugate_map_table(tmp_path, capsys):
+    # An explicit generator map, extended to an automorphism, and the
+    # recoloring table it induces.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(HEXAGON_SPEC), encoding="utf-8")
+    assert main(["conjugate", str(spec), "--map", "a=a5,b=ab", "--table"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == (
+        "ad109c5a43f770dd440f9fa0a0511a71c794a221781e81c8420dc240bb83a333"
+    )
