@@ -72,7 +72,6 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     configured_max_order,
     conjugacy_classes_of_subgroups,
     generating_words,
@@ -81,8 +80,8 @@ from .groups import (
     perfect_coset_count,
     right_coset_reps_outside,
     subgroup_from_words,
+    subgroup_pool,
     subgroups_of_index,
-    subgroups_of_index_at_most,
     whole_group,
 )
 from .partitions import (
@@ -128,13 +127,15 @@ class ColoringSpec:
     @classmethod
     def type2(cls, H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> "ColoringSpec":
         y = smallest_outside(H) if y is None else y
+        if y in H:
+            raise InvalidParameterError("y must lie outside H")
         return cls(group=H.group, H=H, kind="type2", J1=J1, J2=J2, y=y)
 
     @cached_property
     def partition(self) -> GroupPartition:
         if self.kind == "type1":
             return type1_partition(self.H, self.J.conjugated_by(self.l), self.r)
-        return type2_partition(self.H, self.J1, self.J2, self.y)
+        return type2_partition(self.H, self.J1, self.J2)
 
     def verdict(self) -> str:
         if self.kind == "type1":
@@ -233,7 +234,7 @@ class _BlockTables:
             raise InvalidParameterError("H must have index 2")
         self.H = H
         self.max_colors = max_colors
-        self.pool = _subgroup_pool(H, max_colors)
+        self.pool = subgroup_pool(H, max_colors)
         self.reps = {J.members: left_coset_reps(H, J) for J in self.pool}
         self.text = _BlockText(G.labels)
 
@@ -277,12 +278,6 @@ class _BlockTables:
 
 
 # -- pipelines -------------------------------------------------------------------
-
-
-def _subgroup_pool(H: Subgroup, max_index: int | None) -> list[Subgroup]:
-    if max_index is None:
-        return all_subgroups(H)
-    return subgroups_of_index_at_most(H, max_index)
 
 
 def enumerate_type2(
@@ -385,7 +380,7 @@ def type1_cells(
     representatives of the H-normalizer and r over the conjugated right
     coset representatives, in deterministic order.
     """
-    return _type1_cells(G, H, _subgroup_pool(H, max_colors))
+    return _type1_cells(G, H, subgroup_pool(H, max_colors))
 
 
 def _type1_cells(G: FiniteGroup, H: Subgroup, pool: Sequence[Subgroup]):

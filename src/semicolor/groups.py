@@ -601,6 +601,15 @@ def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]
     )
 
 
+def subgroup_pool(universe: Subgroup, max_index: int | None) -> list[Subgroup]:
+    """The subgroups that a census or a verify sweep walks: the whole
+    lattice of ``universe`` when ``max_index`` is None, else those of index
+    <= ``max_index``."""
+    if max_index is None:
+        return all_subgroups(universe)
+    return subgroups_of_index_at_most(universe, max_index)
+
+
 def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
     """Elements of ``within`` whose conjugation fixes J setwise."""
     within._check_ambient(J)

@@ -2,12 +2,16 @@
 
 A coloring of a pattern whose tiles correspond one-to-one with group
 elements is modeled as a partition of the group; a symmetry permutes the
-colors exactly when left translation by it maps blocks onto blocks.  The
-constructors here build the two standard families for an index-2 color
-group H:
+colors exactly when left translation by it maps blocks onto blocks.  One
+constructor, ``general_partition``, builds the paper's partition
+``{h * J_i * Y_i : i in I, h in H}`` for a color group H and validates it.
+The two standard families for an index-2 color group H are its special
+cases:
 
-* type 1: blocks ``h * (J u J*r)`` for ``h in H`` (one orbit of colors),
-* type 2: left cosets of J1 inside H plus left cosets of J2 outside H
+* type 1: the one part (J, {e, r}), blocks ``h * (J u J*r)`` for ``h in H``
+  (one orbit of colors),
+* type 2: the parts (J1, {e}) and (y0*J2*y0^-1, {y0}) for y0 outside H,
+  the left cosets of J1 inside H plus the left cosets of J2 outside H
   (two orbits of colors).
 
 Fast classifiers decide perfect versus semiperfect from (J, r) or (J1, J2)
@@ -145,58 +149,23 @@ def _translates(
     With ``reps`` the left coset representatives in H of a subgroup K of H
     that fixes ``base`` under left translation, these are all the blocks
     ``h * base`` for h in H, because ``h * base`` depends only on the coset
-    ``h*K``: [H:K] blocks, one sort of |base| members each.  When K is the
-    whole H-stabilizer of ``base`` the blocks are pairwise distinct; all of
-    H as ``reps`` builds every translate, repeats included.
+    ``h*K``: [H:K] blocks, one sort of |base| members each.  They are
+    pairwise distinct when K is the whole H-stabilizer of ``base``, and
+    repeat otherwise.
     """
     table = group.table
     return [tuple(sorted(table[h][e] for e in base)) for h in reps]
 
 
-def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
-    """Blocks ``h * (J u J*r)`` for h in H; one H-orbit of [H:J] blocks."""
-    _require_index_two(H)
-    _require_inside(J, H)
-    group = H.group
-    if r in H:
-        raise InvalidParameterError("the second coset representative r must lie outside H")
-    table = group.table
-    base = J.members + tuple(table[j][r] for j in J.members)
-    # h*(J u J*r) = J u J*r exactly when h*J = J, so J is the stabilizer.
-    blocks = _translates(group, left_coset_reps(H, J), base)
-    return GroupPartition(group, tuple(sorted(blocks)))
-
-
-def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> GroupPartition:
-    """Left cosets of J1 inside H together with left cosets of J2 outside H.
-
-    Any admissible ``y`` outside H yields the same partition (the cosets of
-    J2 outside H are the H-translates of ``y0 * J2`` for any one ``y0``
-    outside H), so ``y`` is only validated, never used.
-    """
-    _require_index_two(H)
-    _require_inside(J1, H, "J1")
-    _require_inside(J2, H, "J2")
-    group = H.group
-    if y is not None and y in H:
-        raise InvalidParameterError("y must lie outside H")
-    table = group.table
-    y0 = smallest_outside(H)
-    # h*y0*J2 = y0*J2 exactly when h lies in y0*J2*y0^-1, which H contains
-    # because it is normal.
-    blocks = _translates(group, left_coset_reps(H, J1), J1.members)
-    outside_reps = left_coset_reps(H, J2.conjugated_by(y0))
-    blocks += _translates(group, outside_reps, [table[y0][j] for j in J2.members])
-    return GroupPartition(group, tuple(sorted(blocks)))
-
-
 def general_partition(
     H: Subgroup, parts: Sequence[tuple[Subgroup, Iterable[int]]]
 ) -> GroupPartition:
-    """Blocks ``h * J_i * Y_i`` for each part; validated to be a partition.
+    """The partition ``{h * J_i * Y_i : i in I, h in H}``; validated.
 
-    The union of the Y_i must hit every coset of H exactly once, otherwise
-    the blocks overlap or fail to cover and the construction is rejected.
+    ``h * J * Y`` depends only on the coset ``h*J``, so each part is
+    translated by one representative per left coset of J in H.  The union
+    of the Y_i must hit every coset of H exactly once, otherwise the blocks
+    overlap or fail to cover and the construction is rejected.
     """
     group = H.group
     table = group.table
@@ -206,9 +175,33 @@ def general_partition(
         base = tuple(sorted({table[j][y] for j in J.members for y in Y}))
         if not base:
             raise InvalidParameterError("each part needs at least one representative")
-        # Every translate, so that overlapping families reach the validation.
-        blocks.update(_translates(group, H.members, base))
+        blocks.update(_translates(group, left_coset_reps(H, J), base))
     return GroupPartition.from_blocks(group, blocks)
+
+
+def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
+    """Blocks ``h * (J u J*r)`` for h in H; one H-orbit of [H:J] blocks."""
+    _require_index_two(H)
+    _require_inside(J, H)
+    group = H.group
+    if r in H:
+        raise InvalidParameterError("the second coset representative r must lie outside H")
+    return general_partition(H, [(J, (group.identity, r))])
+
+
+def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup) -> GroupPartition:
+    """Left cosets of J1 inside H together with left cosets of J2 outside H.
+
+    The cosets of J2 outside H are the H-translates of ``y0 * J2`` for any
+    one ``y0`` outside H, that is the part ``(y0*J2*y0^-1) * y0``; H
+    contains that conjugate because it is normal.
+    """
+    _require_index_two(H)
+    _require_inside(J1, H, "J1")
+    _require_inside(J2, H, "J2")
+    y0 = smallest_outside(H)
+    parts = [(J1, (H.group.identity,)), (J2.conjugated_by(y0), (y0,))]
+    return general_partition(H, parts)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -290,12 +283,9 @@ def classify_type2_with_reps(J1: Subgroup, J2: Subgroup, y: int, H: Subgroup) ->
     y-inverse conjugate, so it is perfect iff J2 equals the conjugate of J1
     by y.
     """
-    _require_index_two(H)
-    _require_inside(J1, H, "J1")
-    _require_inside(J2, H, "J2")
     if y in H:
         raise InvalidParameterError("y must lie outside H")
-    return PERFECT if J1.conjugated_by(y).members == J2.members else SEMIPERFECT
+    return classify_type2(J1, J2.conjugated_by(H.group.inverse[y]), H)
 
 
 # -- the induced action on colors ----------------------------------------------

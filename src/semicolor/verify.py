@@ -3,6 +3,15 @@
 Every fast path in the package has an independent brute-force counterpart;
 these suites run both over exhaustive inputs for a chosen group and report
 any disagreement.  They back the ``verify`` CLI command.
+
+The sweep is built once per color group H: one subgroup pool (the full
+lattice of H up to order 16, else the subgroups of index <= 4) and one
+``enumerate_type2`` and one ``enumerate_type1`` call over the same cap.
+``coset-bookkeeping``, ``class-equation``, ``involution-bridge``,
+``one-orbit-oracle`` and ``two-orbit-oracle`` read the pool;
+``orbit-size-two`` and ``conjugate-transport`` read the entries;
+``census-counts`` reads both.  ``grid-pairing`` walks ``type1_cells`` and
+``census-determinism`` runs two whole enumerations of its own.
 """
 
 from __future__ import annotations
@@ -29,12 +38,12 @@ from .geometry import lift_quotient_element, symmetry_diagram
 from .groups import (
     FiniteGroup,
     Subgroup,
-    all_subgroups,
     conjugacy_classes_of_subgroups,
     left_coset_reps,
     normalizer,
     perfect_coset_count,
     subgroup_generated,
+    subgroup_pool,
     subgroups_of_index,
     subgroups_of_index_at_most,
     whole_group,
@@ -93,6 +102,17 @@ class VerificationReport:
         return out
 
 
+class _Sweep:
+    """What the suites read of one color group H, built once: its subgroup
+    pool and the entries of both census pipelines, all under one cap."""
+
+    def __init__(self, G: FiniteGroup, H: Subgroup, cap: int | None):
+        self.H = H
+        self.pool = subgroup_pool(H, cap)
+        self.type2 = enumerate_type2(G, H, max_colors=cap)
+        self.type1 = enumerate_type1(G, H, max_colors=cap)
+
+
 def _timed(suite: Suite, fn):
     start = time.perf_counter()
     fn(suite)
@@ -110,18 +130,22 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
             ]
         keys = {H.members for H in preferred if 2 * H.order == G.order}
         color_groups = [H for H in color_groups if H.members in keys] or color_groups[:2]
+    # Every color group has index 2, so one order decides the sweep: the
+    # full lattice of H up to order 16, else its subgroups of index <= 4.
+    cap = None if G.order <= 32 else 4
+    sweeps = [_Sweep(G, H, cap) for H in color_groups]
 
     suites = [
         _timed(Suite("group-axioms"), lambda s: _suite_axioms(s, G)),
-        _timed(Suite("coset-bookkeeping"), lambda s: _suite_cosets(s, G, color_groups)),
-        _timed(Suite("class-equation"), lambda s: _suite_classes(s, G, color_groups)),
-        _timed(Suite("involution-bridge"), lambda s: _suite_bridge(s, G, color_groups)),
-        _timed(Suite("one-orbit-oracle"), lambda s: _suite_type1(s, G, color_groups)),
-        _timed(Suite("two-orbit-oracle"), lambda s: _suite_type2(s, G, color_groups)),
-        _timed(Suite("orbit-size-two"), lambda s: _suite_orbits(s, G, color_groups)),
-        _timed(Suite("grid-pairing"), lambda s: _suite_pairing(s, G, color_groups)),
-        _timed(Suite("census-counts"), lambda s: _suite_counts(s, G, color_groups)),
-        _timed(Suite("conjugate-transport"), lambda s: _suite_transport(s, G, color_groups)),
+        _timed(Suite("coset-bookkeeping"), lambda s: _suite_cosets(s, G, sweeps)),
+        _timed(Suite("class-equation"), lambda s: _suite_classes(s, G, sweeps)),
+        _timed(Suite("involution-bridge"), lambda s: _suite_bridge(s, G, sweeps)),
+        _timed(Suite("one-orbit-oracle"), lambda s: _suite_type1(s, G, sweeps)),
+        _timed(Suite("two-orbit-oracle"), lambda s: _suite_type2(s, G, sweeps)),
+        _timed(Suite("orbit-size-two"), lambda s: _suite_orbits(s, G, sweeps)),
+        _timed(Suite("grid-pairing"), lambda s: _suite_pairing(s, G, color_groups, cap)),
+        _timed(Suite("census-counts"), lambda s: _suite_counts(s, G, sweeps, cap)),
+        _timed(Suite("conjugate-transport"), lambda s: _suite_transport(s, G, sweeps)),
     ]
     if G.descriptor.get("kind") == "p4m_quotient":
         suites.append(
@@ -129,14 +153,6 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
         )
     suites.append(_timed(Suite("census-determinism"), lambda s: _suite_determinism(s, G, color_groups)))
     return VerificationReport(G, suites)
-
-
-def _lattice_pool(H: Subgroup) -> list[Subgroup]:
-    """Subgroups of H to sweep: the full lattice when small, else a
-    low-index slice so larger quotients stay tractable."""
-    if H.order <= 16:
-        return all_subgroups(H)
-    return subgroups_of_index_at_most(H, 4)
 
 
 def _suite_axioms(suite: Suite, G: FiniteGroup):
@@ -152,10 +168,10 @@ def _suite_axioms(suite: Suite, G: FiniteGroup):
     )
 
 
-def _suite_cosets(suite: Suite, G: FiniteGroup, color_groups):
-    for H in color_groups:
-        subs = _lattice_pool(H)
-        for K in subs:
+def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    for sweep in sweeps:
+        H = sweep.H
+        for K in sweep.pool:
             regen = subgroup_generated(G, K.members)
             suite.check(regen.members == K.members, lambda: f"closure not idempotent for {K}")
             reps = left_coset_reps(H, K)
@@ -171,10 +187,10 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, color_groups):
             suite.check(covered == set(H.members), lambda: f"cosets do not cover H for {K}")
 
 
-def _suite_classes(suite: Suite, G: FiniteGroup, color_groups):
+def _suite_classes(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     full = whole_group(G)
-    for H in color_groups:
-        subs = _lattice_pool(H)
+    for sweep in sweeps:
+        H, subs = sweep.H, sweep.pool
         classes = conjugacy_classes_of_subgroups(subs, full)
         suite.check(
             sum(len(c) for c in classes) == len(subs),
@@ -189,10 +205,11 @@ def _suite_classes(suite: Suite, G: FiniteGroup, color_groups):
             )
 
 
-def _suite_bridge(suite: Suite, G: FiniteGroup, color_groups):
-    for H in color_groups:
+def _suite_bridge(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    for sweep in sweeps:
+        H = sweep.H
         hset = H.member_set
-        for J in _lattice_pool(H):
+        for J in sweep.pool:
             jset = J.member_set
             cosets = set()
             for r in G.elements:
@@ -208,10 +225,11 @@ def _suite_bridge(suite: Suite, G: FiniteGroup, color_groups):
             )
 
 
-def _suite_type1(suite: Suite, G: FiniteGroup, color_groups):
-    for H in color_groups:
+def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    for sweep in sweeps:
+        H = sweep.H
         outside = H.complement()
-        for J in _lattice_pool(H):
+        for J in sweep.pool:
             for r in outside:
                 fast = classify_type1(J, r, H).perfect
                 oracle = partition_stabilizer(G, type1_partition(H, J, r)).is_whole_group()
@@ -221,10 +239,10 @@ def _suite_type1(suite: Suite, G: FiniteGroup, color_groups):
                 )
 
 
-def _suite_type2(suite: Suite, G: FiniteGroup, color_groups):
-    for H in color_groups:
-        subs = _lattice_pool(H)
-        for J1, J2 in combinations_with_replacement(subs, 2):
+def _suite_type2(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    for sweep in sweeps:
+        H = sweep.H
+        for J1, J2 in combinations_with_replacement(sweep.pool, 2):
             fast = classify_type2(J1, J2, H) == PERFECT
             oracle = partition_stabilizer(G, type2_partition(H, J1, J2)).is_whole_group()
             suite.check(
@@ -233,11 +251,10 @@ def _suite_type2(suite: Suite, G: FiniteGroup, color_groups):
             )
 
 
-def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
-    for H in color_groups:
-        cap = None if H.order <= 16 else 4
-        entries = enumerate_type2(G, H, max_colors=cap) + enumerate_type1(G, H, max_colors=cap)
-        for entry in entries:
+def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    for sweep in sweeps:
+        H = sweep.H
+        for entry in sweep.type2 + sweep.type1:
             orbit = equivalence_class(entry.spec.partition, G)
             suite.check(
                 len(orbit) == 2
@@ -262,10 +279,9 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, color_groups):
             )
 
 
-def _suite_pairing(suite: Suite, G: FiniteGroup, color_groups):
+def _suite_pairing(suite: Suite, G: FiniteGroup, color_groups, cap: int | None):
     full = whole_group(G)
     for H in color_groups:
-        cap = None if H.order <= 16 else 4
         per_class: dict[tuple, dict] = {}
         for bJ, l, r, verdict in type1_cells(G, H, max_colors=cap):
             if verdict.perfect:
@@ -284,13 +300,12 @@ def _suite_pairing(suite: Suite, G: FiniteGroup, color_groups):
             )
 
 
-def _suite_counts(suite: Suite, G: FiniteGroup, color_groups):
+def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int | None):
     full = whole_group(G)
-    for H in color_groups:
-        cap = None if H.order <= 16 else 4
-        entries2 = enumerate_type2(G, H, max_colors=cap)
+    for sweep in sweeps:
+        H = sweep.H
         if cap is None:
-            n_subs = len(all_subgroups(H))
+            n_subs = len(sweep.pool)
             expected2 = n_subs * (n_subs - 1) // 2
         else:
             pool = subgroups_of_index_at_most(H, cap - 1)
@@ -301,37 +316,24 @@ def _suite_counts(suite: Suite, G: FiniteGroup, color_groups):
                 if H.order // J1.order + H.order // J2.order <= cap
             )
         suite.check(
-            len(entries2) == expected2,
+            len(sweep.type2) == expected2,
             lambda: f"two-orbit census size mismatch for H={H}",
         )
-        entries1 = enumerate_type1(G, H, max_colors=cap)
-        pool1 = all_subgroups(H) if cap is None else subgroups_of_index_at_most(H, cap)
-        total = 0
-        for cls in conjugacy_classes_of_subgroups(pool1, full):
-            total += count_semiperfect_type1(G, H, cls[0])
+        classes = conjugacy_classes_of_subgroups(sweep.pool, full)
+        total = sum(count_semiperfect_type1(G, H, cls[0]) for cls in classes)
         suite.check(
-            len(entries1) == total,
+            len(sweep.type1) == total,
             lambda: f"one-orbit census does not match the closed form for H={H}",
         )
 
 
-def _suite_transport(suite: Suite, G: FiniteGroup, color_groups):
-    pairs = [
-        (H, H2)
-        for i, H in enumerate(color_groups)
-        for H2 in color_groups[i + 1 :]
-        if H.order == H2.order
-    ]
-    for H, H2 in pairs:
-        alpha = find_conjugating_automorphism(G, H, H2)
+def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
+    pairs = [(sweep, other.H) for i, sweep in enumerate(sweeps) for other in sweeps[i + 1 :]]
+    for sweep, H2 in pairs:
+        alpha = find_conjugating_automorphism(G, sweep.H, H2)
         if alpha is None:
             continue
-        cap = None if H.order <= 16 else 4
-        entries = (
-            enumerate_type2(G, H, max_colors=cap)[:6]
-            + enumerate_type1(G, H, max_colors=cap)[:6]
-        )
-        for entry in entries:
+        for entry in sweep.type2[:6] + sweep.type1[:6]:
             moved = conjugate_spec(entry.spec, alpha)
             suite.check(
                 moved.verdict() == entry.spec.verdict(),
@@ -345,10 +347,7 @@ def _suite_transport(suite: Suite, G: FiniteGroup, color_groups):
 
 
 def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
-    if G.order <= 32:
-        subs = all_subgroups(G)
-    else:
-        subs = subgroups_of_index_at_most(whole_group(G), 8)
+    subs = subgroup_pool(whole_group(G), None if G.order <= 32 else 8)
     if not exhaustive:
         subs = subs[: max(12, len(subs) // 4)]
     for J in subs:

@@ -19,6 +19,16 @@ MALFORMED_SPECS = {
     "number-as-label": json.dumps(
         {"group": {"kind": "dihedral", "n": 6}, "H": [5], "kind": "type2", "J1": [], "J2": []}
     ),
+    "type2-y-inside-H": json.dumps(
+        {
+            "group": {"kind": "dihedral", "n": 6},
+            "H": ["e", "a^2", "a^4", "b", "a^2b", "a^4b"],
+            "kind": "type2",
+            "J1": ["e", "a^2b"],
+            "J2": ["e", "a^2", "a^4", "b", "a^2b", "a^4b"],
+            "y": "a^2",
+        }
+    ),
 }
 
 

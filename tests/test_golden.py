@@ -1,12 +1,15 @@
 """Byte-level pins of CLI outputs.
 
 Each test compares the sha256 digest of one command's output with a fixed
-value, so any change to the census JSON or CSV, the reference grid or the
-SVG renderer fails here.
+value, so any change to the census JSON or CSV, the reference grid, the
+SVG renderer or the verify report (timings masked) fails here.
 """
 
 import hashlib
 import json
+import re
+
+import pytest
 
 from semicolor.cli import main
 
@@ -91,3 +94,18 @@ def test_conjugate_map_table(tmp_path, capsys):
     assert _sha(capsys.readouterr().out.encode()) == (
         "ad109c5a43f770dd440f9fa0a0511a71c794a221781e81c8420dc240bb83a333"
     )
+
+
+@pytest.mark.parametrize(
+    "group, digest",
+    [
+        ("dihedral:8", "61baec64193fed0e41e486cd81e1ae6dfe6eaad59775ee3a1446a610494faccd"),
+        ("p4m_quotient:1", "5d216db2d5e81566cb4d51930086e3c4fb3e22ca7c3d598b668641457c974997"),
+    ],
+)
+def test_verify_report(capsys, group, digest):
+    # Suite names, order, check counts and verdicts; each "(1.23s)" timing
+    # is replaced by "(T)" before hashing.
+    assert main(["verify", "--group", group]) == 0
+    out = re.sub(r"\(\d+\.\d+s\)", "(T)", capsys.readouterr().out)
+    assert _sha(out.encode()) == digest

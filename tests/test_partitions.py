@@ -2,6 +2,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from semicolor.census import ColoringSpec
 from semicolor.errors import InvalidParameterError, NotAPartitionError
 from semicolor.groups import (
     all_subgroups,
@@ -40,7 +41,7 @@ def blocks_by_labels(group, partition):
 @pytest.fixture
 def four_color(d6, hexH):
     """The worked two-orbit example: J1 = <a^2b>, J2 = H."""
-    return type2_partition(hexH, subgroup_from_words(d6, "a2b"), hexH, d6.element("a3"))
+    return type2_partition(hexH, subgroup_from_words(d6, "a2b"), hexH)
 
 
 @pytest.fixture
@@ -66,8 +67,8 @@ class TestTypeTwoConstruction:
     def test_representative_choice_is_immaterial(self, d6, hexH):
         J1 = subgroup_from_words(d6, "a2b")
         assert (
-            type2_partition(hexH, J1, hexH, d6.element("a")).blocks
-            == type2_partition(hexH, J1, hexH, d6.element("a3")).blocks
+            ColoringSpec.type2(hexH, J1, hexH, d6.element("a")).partition.blocks
+            == ColoringSpec.type2(hexH, J1, hexH, d6.element("a3")).partition.blocks
         )
 
     def test_block_count_is_sum_of_indices(self, d6, hexH):
@@ -78,7 +79,7 @@ class TestTypeTwoConstruction:
 
     def test_rejects_representative_inside_H(self, d6, hexH):
         with pytest.raises(InvalidParameterError):
-            type2_partition(hexH, hexH, hexH, d6.element("a2"))
+            ColoringSpec.type2(hexH, hexH, hexH, d6.element("a2"))
 
     def test_rejects_subgroup_outside_H(self, d6, hexH):
         with pytest.raises(InvalidParameterError):

@@ -1,4 +1,7 @@
-from semicolor.groups import Subgroup
+from collections import Counter
+
+import semicolor.verify
+from semicolor.groups import Subgroup, build_dihedral, subgroups_of_index
 from semicolor.verify import Suite, run_verification
 
 
@@ -24,3 +27,22 @@ def test_failure_text_is_built_only_for_failing_checks(d6, hexH, monkeypatch):
     assert suite.checks == 3
     assert suite.failures == ["mismatch for J=Subgroup(<a^2,b>, order=6)", "static detail"]
     assert shown == [hexH.members]
+
+
+def test_each_census_pipeline_runs_once_per_color_group(monkeypatch):
+    G = build_dihedral(8)
+    calls = Counter()
+    for name in ("enumerate_type1", "enumerate_type2"):
+        plain = getattr(semicolor.verify, name)
+
+        def counting(G, H, max_colors=None, name=name, plain=plain):
+            calls[name, H.members] += 1
+            return plain(G, H, max_colors=max_colors)
+
+        monkeypatch.setattr(semicolor.verify, name, counting)
+    assert run_verification(G).passed
+    color_groups = [H.members for H in subgroups_of_index(G, 2)]
+    assert len(color_groups) == 3
+    assert calls == Counter(
+        {(name, H): 1 for name in ("enumerate_type1", "enumerate_type2") for H in color_groups}
+    )
