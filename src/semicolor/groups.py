@@ -22,6 +22,9 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_MAX_ORDER = 512
 MAX_ORDER_ENV = "SEMICOLOR_MAX_ORDER"
+#: Largest group whose multiplication table is built: order^2 entries,
+#: about 200 MiB at 2048.
+MAX_TABLE_ORDER = 2048
 
 #: The eight integer matrices of the square point group, rows-first.
 #: Order: rotations by 0/90/180/270 degrees, then each rotation composed
@@ -50,6 +53,13 @@ def _square_point_group():
 
 
 SQUARE_POINT_GROUP = _square_point_group()
+
+
+def _check_table_order(order: int) -> None:
+    if order > MAX_TABLE_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the multiplication-table bound {MAX_TABLE_ORDER}"
+        )
 
 
 def configured_max_order() -> int:
@@ -307,6 +317,7 @@ def build_dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParameterError("dihedral parameter must be a positive integer")
     order = 2 * n
+    _check_table_order(order)
 
     def idx(i, j):
         return i % n + (n if j else 0)
@@ -344,16 +355,12 @@ def build_p4m_quotient(N: int) -> FiniteGroup:
     """
     if N < 1:
         raise InvalidParameterError("quotient modulus must be a positive integer")
-    mats = SQUARE_POINT_GROUP
-    mat_index = {m: i for i, m in enumerate(mats)}
     order = 8 * N * N
+    _check_table_order(order)
+    nn = N * N
 
     def idx(mi, t):
-        return mi * N * N + (t[0] % N) * N + t[1] % N
-
-    def decode(g):
-        mi, rest = divmod(g, N * N)
-        return mi, divmod(rest, N)
+        return mi * nn + (t[0] % N) * N + t[1] % N
 
     labels = []
     for mi in range(8):
@@ -373,14 +380,21 @@ def build_p4m_quotient(N: int) -> FiniteGroup:
                 if has_b:
                     word += "b"
                 labels.append(word or "e")
-    table = [[0] * order for _ in range(order)]
-    for g in range(order):
-        mi, t = decode(g)
-        for h in range(order):
-            mj, u = decode(h)
-            mu = _mat_vec(mats[mi], u)
-            table[g][h] = idx(mat_index[_mat_mul(mats[mi], mats[mj])],
-                              (t[0] + mu[0], t[1] + mu[1]))
+    # (M1,t1)(M2,t2) = (M1*M2, t1 + M1*t2): the point part depends only on
+    # (M1, M2) and the translation part only on (M1, t1, t2).  So the row
+    # of g = (M1, t1) is eight slices, one per M2, each adding the base
+    # index of M1*M2 to the shared translation indices of t1 + M1*t2.
+    mats = SQUARE_POINT_GROUP
+    mat_index = {m: i for i, m in enumerate(mats)}
+    bases = [[mat_index[_mat_mul(m1, m2)] * nn for m2 in mats] for m1 in mats]
+    translations = [divmod(u, N) for u in range(nn)]
+    turned = [[idx(0, _mat_vec(m, u)) for u in translations] for m in mats]
+    plus = [[idx(0, (t[0] + u[0], t[1] + u[1])) for u in translations] for t in translations]
+    table = []
+    for mi in range(8):
+        for t in range(nn):
+            moved = [plus[t][u] for u in turned[mi]]
+            table.append([b + m for b in bases[mi] for m in moved])
     gens = {
         "a": idx(1, (0, 0)),
         "b": idx(4, (0, 0)),

@@ -3,6 +3,14 @@
 Output is byte-stable for fixed inputs: tiles are emitted in group-element
 order, coordinates use fixed-precision formatting, and palettes are frozen
 lookup tables.
+
+A render of many repeat blocks holds thousands of points but only a few
+dozen distinct x and y values, so each distinct coordinate is formatted
+once per call and every polygon and boundary line is written from those
+strings.  The lookup is keyed by float value, under which 0.0 and -0.0 are
+one key although they format differently; no drawn coordinate is -0.0,
+because each is a tile coordinate plus a shift i*period with i >= 0 and a
+positive period, and -0.0 + 0.0 == 0.0.
 """
 
 from __future__ import annotations
@@ -74,23 +82,23 @@ def render_svg(
 
     labels_in_order = [tile_map.group.labels[g] for g in tile_map.group.elements]
     polys = []
-    for shift in shifts:
+    for sx, sy in shifts:
         for lab in labels_in_order:
-            poly = tuple(
-                (x + shift[0], (y + shift[1])) for x, y in tile_map.domains[lab]
-            )
+            poly = tuple((x + sx, y + sy) for x, y in tile_map.domains[lab])
             polys.append((lab, block_of[lab], poly))
 
-    xs = [x for _, _, poly in polys for x, _ in poly]
-    ys = [y for _, _, poly in polys for _, y in poly]
+    # Each distinct coordinate is formatted once (see the module docstring).
+    # SVG y grows downward; flip so counterclockwise stays counterclockwise.
+    points = {p for _, _, poly in polys for p in poly}
+    xs = {x for x, _ in points}
+    ys = {y for _, y in points}
+    fx = {x: _fmt(SCALE * x) for x in xs}
+    fy = {y: _fmt(-SCALE * y) for y in ys}
+    text = {p: f"{fx[p[0]]},{fy[p[1]]}" for p in points}
+
     margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
     x0, y0 = min(xs) - margin, min(ys) - margin
     x1, y1 = max(xs) + margin, max(ys) + margin
-
-    # SVG y grows downward; flip so counterclockwise stays counterclockwise.
-    def pt(p):
-        return f"{_fmt(SCALE * p[0])},{_fmt(-SCALE * p[1])}"
-
     view = (
         f"{_fmt(SCALE * x0)} {_fmt(-SCALE * y1)} "
         f"{_fmt(SCALE * (x1 - x0))} {_fmt(SCALE * (y1 - y0))}"
@@ -101,16 +109,14 @@ def render_svg(
     ]
     for i, (lab, block, poly) in enumerate(polys):
         fill = palette_fill(palette, block)
-        points = " ".join(pt(p) for p in poly)
+        coords = " ".join(map(text.__getitem__, poly))
         lines.append(
             f'<polygon id="tile-{i}" data-label="{lab}" data-block="{block}" '
-            f'points="{points}" fill="{fill}" stroke="none"/>'
+            f'points="{coords}" fill="{fill}" stroke="none"/>'
         )
-    for seg in _boundary_segments(polys):
-        (p, q) = seg
+    for p, q in _boundary_segments(polys):
         lines.append(
-            f'<line x1="{_fmt(SCALE * p[0])}" y1="{_fmt(-SCALE * p[1])}" '
-            f'x2="{_fmt(SCALE * q[0])}" y2="{_fmt(-SCALE * q[1])}" '
+            f'<line x1="{fx[p[0]]}" y1="{fy[p[1]]}" x2="{fx[q[0]]}" y2="{fy[q[1]]}" '
             'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
         )
     lines.append("</svg>")
@@ -118,24 +124,30 @@ def render_svg(
 
 
 def _boundary_segments(polys):
-    """Edges that separate different blocks or lie on the outer boundary."""
+    """Edges that separate different blocks or lie on the outer boundary.
 
-    def key_point(p):
-        return (round(p[0], 6), round(p[1], 6))
-
-    edges: dict[tuple, list[int]] = {}
-    coords: dict[tuple, tuple] = {}
+    An edge is keyed by its two end points rounded to 6 places, each
+    distinct point rounded once.  Its slot holds the first-seen end points,
+    the first block drawn on it and how it was seen since: 0 not again,
+    1 again with that block only, 2 again with another block.  Edges seen
+    once or with two blocks are kept, in key order.
+    """
+    rounded: dict[tuple, tuple] = {}
+    for _, _, poly in polys:
+        for p in poly:
+            if p not in rounded:
+                rounded[p] = (round(p[0], 6), round(p[1], 6))
+    edges: dict[tuple, list] = {}
     for _, block, poly in polys:
-        n = len(poly)
-        for i in range(n):
-            p, q = poly[i], poly[(i + 1) % n]
-            kp, kq = key_point(p), key_point(q)
-            key = (kp, kq) if kp <= kq else (kq, kp)
-            edges.setdefault(key, []).append(block)
-            coords.setdefault(key, (p, q) if kp <= kq else (q, p))
-    out = []
-    for key in sorted(edges):
-        blocks = edges[key]
-        if len(blocks) == 1 or len(set(blocks)) > 1:
-            out.append(coords[key])
-    return out
+        for p, q in zip(poly, poly[1:] + poly[:1]):
+            kp, kq = rounded[p], rounded[q]
+            if kq < kp:
+                kp, kq, p, q = kq, kp, q, p
+            slot = edges.get((kp, kq))
+            if slot is None:
+                edges[kp, kq] = [(p, q), block, 0]
+            elif block != slot[1]:
+                slot[2] = 2
+            elif not slot[2]:
+                slot[2] = 1
+    return [slot[0] for _, slot in sorted(edges.items()) if slot[2] != 1]

@@ -64,6 +64,21 @@ class TestSubgroupsCommand:
         monkeypatch.setenv("SEMICOLOR_MAX_ORDER", "8")
         assert main(["subgroups", "--group", "dihedral:6"]) == 3
 
+    # Groups above the multiplication-table bound are refused before their
+    # order^2 table is allocated (tens of GB for these two).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subgroups", "--group", "dihedral:20000", "--index", "2"],
+            ["enumerate", "--group", "p4m_quotient:100"],
+        ],
+    )
+    def test_oversize_group_exits_three(self, capsys, argv):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "multiplication-table bound" in err
+
 
 class TestEnumerateCommand:
     def test_two_orbit_census(self, capsys):

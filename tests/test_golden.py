@@ -11,7 +11,9 @@ import re
 
 import pytest
 
+from semicolor.census import ColoringSpec
 from semicolor.cli import main
+from semicolor.groups import build_p4m_quotient, subgroup_from_words
 
 HEXAGON_SPEC = {
     "group": {"kind": "dihedral", "n": 6},
@@ -83,6 +85,38 @@ def test_quad_palette_svg(tmp_path, capsys):
     assert _sha(out.read_bytes()) == (
         "acbdb7623195ca22d1a2949b7803984466c218486fa980bb26e79ca73ec99962"
     )
+
+
+def _square_spec(kind):
+    # A 12-color type-2 spec on the order-32 quotient, and a 9-color
+    # semiperfect type-1 spec on the order-72 quotient.
+    if kind == "type2":
+        g = build_p4m_quotient(2)
+        H = subgroup_from_words(g, "b,a2b,x,y")
+        return ColoringSpec.type2(
+            H, subgroup_from_words(g, "b"), subgroup_from_words(g, "a2,x")
+        )
+    g = build_p4m_quotient(3)
+    H = subgroup_from_words(g, "a,x,y")
+    return ColoringSpec.type1(H, subgroup_from_words(g, "a"), g.element("xb"))
+
+
+@pytest.mark.parametrize(
+    "kind, options, digest",
+    [
+        # 2x3 is not square, so the order of the cell shifts shows.
+        ("type2", ["--cells", "2x3"],
+         "32350b0d870b09517ca46a63702e4110b8e02e8c877791b954da5c66ffd23f98"),
+        ("type1", ["--palette", "quad"],
+         "c471266481bd0d3a79fbc51c9a391545348a22093c0bf1b756b1fee95de0e0ce"),
+    ],
+)
+def test_square_svg(tmp_path, capsys, kind, options, digest):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_square_spec(kind).to_json()), encoding="utf-8")
+    out = tmp_path / "square.svg"
+    assert main(["render", str(spec), *options, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == digest
 
 
 def test_conjugate_map_table(tmp_path, capsys):

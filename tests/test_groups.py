@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations, product
 
 import pytest
@@ -121,6 +122,39 @@ class TestP4mQuotient:
         assert pmmH.order == 16
         assert pmmH.index == 2
 
+    # sha256 of the space-joined labels, recorded before the table was
+    # built by slices.
+    LABEL_DIGESTS = {
+        1: "08746eaeb30df83ff486511f4156e272cd30acc185605fe33b0ac42317626b04",
+        2: "90c8369f1106ef1ab4ba2ff7e96b371ff58993b0f11ec41d22035ab9ff1aef3a",
+        3: "1d71574a50e62b205d1d1d8283ece6917d3863ba13534604c26d7f655203933c",
+        4: "7bb626b1cad1738940a04247e357bd0c58a3091bb81a47121b755f648bd494a0",
+        5: "d2e63ab0ad7415a737fd09264c1b87dce7d047ba4cca225f45110b922243cb7f",
+    }
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    def test_table_is_the_semidirect_product(self, N):
+        # (M1,t1)(M2,t2) = (M1*M2, t1 + M1*t2 mod N), element by element.
+        from semicolor.groups import SQUARE_POINT_GROUP as mats
+
+        g = build_p4m_quotient(N)
+        elements = [(mi, (t1, t2)) for mi in range(8) for t1 in range(N) for t2 in range(N)]
+        index = {el: k for k, el in enumerate(elements)}
+        for (m1, t), row in zip(elements, g.table):
+            for (m2, u), product_ in zip(elements, row):
+                a, b = mats[m1], mats[m2]
+                ab = tuple(
+                    tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                    for i in range(2)
+                )
+                moved = tuple((t[i] + a[i][0] * u[0] + a[i][1] * u[1]) % N for i in range(2))
+                assert product_ == index[mats.index(ab), moved]
+        assert g.generators == {
+            "a": index[1, (0, 0)], "b": index[4, (0, 0)],
+            "x": index[0, (1 % N, 0)], "y": index[0, (0, 1 % N)],
+        }
+        assert hashlib.sha256(" ".join(g.labels).encode()).hexdigest() == self.LABEL_DIGESTS[N]
+
     def test_uppercase_words_are_inverses(self, g4):
         assert g4.element("xY") == g4.mul(g4.element("x"), g4.inv(g4.element("y")))
 
@@ -213,6 +247,13 @@ class TestSubgroupMachinery:
         with pytest.raises(ResourceLimitError) as err:
             all_subgroups(d6)
         assert "8" in str(err.value)
+
+    @pytest.mark.parametrize("build, param", [(build_dihedral, 1025), (build_p4m_quotient, 17)])
+    def test_table_bound(self, build, param):
+        # Orders 2050 and 2312: refused before any table is allocated.
+        with pytest.raises(ResourceLimitError) as err:
+            build(param)
+        assert str(groups.MAX_TABLE_ORDER) in str(err.value)
 
     def test_p4m_quotient_has_seven_index_two_subgroups(self, g4):
         H = subgroup_from_words(g4, "a,ab,xy,Xy")

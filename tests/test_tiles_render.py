@@ -1,12 +1,14 @@
+import random
 import re
 
 import pytest
 
 from semicolor.census import ColoringSpec, GroupAutomorphism
 from semicolor.errors import InvalidParameterError, UnsupportedPatternError
-from semicolor.groups import build_dihedral, subgroup_from_words
-from semicolor.render import PALETTES, render_svg
+from semicolor.groups import build_dihedral, build_p4m_quotient, subgroup_from_words
+from semicolor.render import PALETTES, SCALE, _fmt, palette_fill, render_svg
 from semicolor.tiles import (
+    TileMap,
     hexagon_tile_map,
     p4m_tile_map,
     tile_map_for,
@@ -119,6 +121,110 @@ class TestRenderer:
         spec = ColoringSpec.type2(pmmH, pmmH, pmmH)
         svg = render_svg(tm, _spec_blocks(spec), cells=(2, 2))
         assert svg.count("<polygon") == 32 * 4
+
+
+def _reference_svg(tile_map, block_of, palette, cells):
+    """The renderer formatting every coordinate on its own: the oracle."""
+    shifts = [(0.0, 0.0)]
+    if tile_map.cell is not None:
+        cx, cy = tile_map.cell
+        shifts = [(i * cx, j * cy) for i in range(cells[0]) for j in range(cells[1])]
+    labels_in_order = [tile_map.group.labels[g] for g in tile_map.group.elements]
+    polys = []
+    for shift in shifts:
+        for lab in labels_in_order:
+            poly = tuple((x + shift[0], (y + shift[1])) for x, y in tile_map.domains[lab])
+            polys.append((lab, block_of[lab], poly))
+    xs = [x for _, _, poly in polys for x, _ in poly]
+    ys = [y for _, _, poly in polys for _, y in poly]
+    margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    x0, y0 = min(xs) - margin, min(ys) - margin
+    x1, y1 = max(xs) + margin, max(ys) + margin
+
+    def pt(p):
+        return f"{_fmt(SCALE * p[0])},{_fmt(-SCALE * p[1])}"
+
+    view = (
+        f"{_fmt(SCALE * x0)} {_fmt(-SCALE * y1)} "
+        f"{_fmt(SCALE * (x1 - x0))} {_fmt(SCALE * (y1 - y0))}"
+    )
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
+    ]
+    for i, (lab, block, poly) in enumerate(polys):
+        fill = palette_fill(palette, block)
+        points = " ".join(pt(p) for p in poly)
+        lines.append(
+            f'<polygon id="tile-{i}" data-label="{lab}" data-block="{block}" '
+            f'points="{points}" fill="{fill}" stroke="none"/>'
+        )
+    for p, q in _reference_segments(polys):
+        lines.append(
+            f'<line x1="{_fmt(SCALE * p[0])}" y1="{_fmt(-SCALE * p[1])}" '
+            f'x2="{_fmt(SCALE * q[0])}" y2="{_fmt(-SCALE * q[1])}" '
+            'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_segments(polys):
+    def key_point(p):
+        return (round(p[0], 6), round(p[1], 6))
+
+    edges, coords = {}, {}
+    for _, block, poly in polys:
+        n = len(poly)
+        for i in range(n):
+            p, q = poly[i], poly[(i + 1) % n]
+            kp, kq = key_point(p), key_point(q)
+            key = (kp, kq) if kp <= kq else (kq, kp)
+            edges.setdefault(key, []).append(block)
+            coords.setdefault(key, (p, q) if kp <= kq else (q, p))
+    return [
+        coords[key] for key in sorted(edges)
+        if len(edges[key]) == 1 or len(set(edges[key])) > 1
+    ]
+
+
+class TestRendererOracle:
+    """The renderer against the per-point reference above, byte for byte."""
+
+    @pytest.mark.parametrize("palette", sorted(PALETTES))
+    @pytest.mark.parametrize("pattern", ["hexagon", "p4m1", "p4m2", "p4m3"])
+    def test_random_block_maps(self, d6, pattern, palette):
+        if pattern == "hexagon":
+            tm, all_cells = hexagon_tile_map(d6), [(1, 1)]
+        else:
+            tm = p4m_tile_map(build_p4m_quotient(int(pattern[-1])))
+            all_cells = [(1, 1), (2, 3), (3, 2), (1, 7)]
+        rng = random.Random(f"{pattern}-{palette}")
+        for cells in all_cells:
+            for _ in range(3):
+                k = rng.randint(1, 13)
+                blocks = {lab: rng.randrange(k) for lab in tm.domains}
+                assert render_svg(tm, blocks, palette, cells) == _reference_svg(
+                    tm, blocks, palette, cells
+                )
+
+    @pytest.mark.parametrize("cell", [None, (1.0, 1.0)])
+    @pytest.mark.parametrize("blocks", [(0, 0), (0, 1)])
+    def test_signed_zero_and_rounding_merge(self, cell, blocks):
+        # The tiles share the edge from the origin to (1, 0), but "b" writes
+        # its end points as (1 + 4e-7, -0.0) and (-4e-7, 0.0), which round
+        # onto "e"'s (1.0, 0.0) and (-0.0, 0.0).
+        group = build_dihedral(1)
+        domains = {
+            "e": ((-0.0, 0.0), (1.0, 0.0), (0.5, 1.0)),
+            "b": ((1.0000004, -0.0), (-0.0000004, 0.0), (0.5, -1.0)),
+        }
+        tm = TileMap(pattern="test", group=group, domains=domains, cell=cell)
+        block_of = dict(zip(("e", "b"), blocks))
+        for cells in [(1, 1)] if cell is None else [(1, 1), (2, 3)]:
+            svg = render_svg(tm, block_of, "default", cells)
+            assert svg == _reference_svg(tm, block_of, "default", cells)
+            assert "-0.000000," not in svg
 
 
 class TestTransfer:
