@@ -187,7 +187,9 @@ def _spec_field(data: dict, name: str):
     return data[name]
 
 
-def subgroup_of_labels(group: FiniteGroup, labels: Iterable[str]) -> Subgroup:
+def subgroup_of_labels(group: FiniteGroup, labels: list[str]) -> Subgroup:
+    if not isinstance(labels, list):
+        raise InvalidParameterError(f"a subgroup must be a JSON list of labels, got {labels!r}")
     return Subgroup.from_members(group, (group.element(w) for w in labels))
 
 

@@ -23,6 +23,7 @@ from .census import (
 )
 from .errors import InvalidParameterError, SemicolorError
 from .groups import (
+    all_subgroups,
     build_dihedral,
     generating_words,
     group_from_descriptor,
@@ -113,10 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None.
+
+    Every command writes through here, so an unwritable path exits 2."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def cmd_subgroups(args) -> int:
@@ -125,8 +132,6 @@ def cmd_subgroups(args) -> int:
     if args.index is not None:
         subs = subgroups_of_index(universe, args.index)
     else:
-        from .groups import all_subgroups
-
         subs = all_subgroups(universe)
     payload = {
         "group": group.descriptor,
@@ -170,10 +175,7 @@ def cmd_enumerate(args) -> int:
         max_colors=args.max_colors,
     )
     if args.out:
-        if args.format == "json":
-            Path(args.out).write_text(census.serialize(), encoding="utf-8")
-        else:
-            Path(args.out).write_text(_census_csv(census), encoding="utf-8")
+        _emit(census.serialize() if args.format == "json" else _census_csv(census), args.out)
     for (h_key, kind), count in sorted(census.by_part.items()):
         print(f"{h_key} {kind}: {count}")
     for note in census.notes:
@@ -261,8 +263,7 @@ def cmd_render(args) -> int:
         cells = (int(m), int(n or m))
     except ValueError:
         raise InvalidParameterError(f"cannot parse cells {args.cells!r}") from None
-    svg = render_svg(tile_map, block_of, palette=args.palette, cells=cells)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _emit(render_svg(tile_map, block_of, palette=args.palette, cells=cells), args.out)
     print(f"wrote {args.out}: {spec.partition.num_blocks} colors, {spec.verdict()}")
     return 0
 
@@ -292,11 +293,7 @@ def cmd_conjugate(args) -> int:
         "verdict": moved.verdict(),
         "blocks": moved.partition.labels_json(),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if args.table:
         tile_map = tile_map_for(group)
         coloring = {

@@ -494,10 +494,15 @@ def _as_universe(group_or_subgroup: FiniteGroup | Subgroup) -> Subgroup:
 def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
     """Every subgroup of the given group (or of the given subgroup).
 
-    Found by saturating one-generator extensions: every subgroup sits on a
-    maximal chain, so repeatedly adjoining single elements to already-found
-    subgroups reaches all of them.  Deterministic order: by order, then by
-    member tuple.
+    Found by cyclic extension (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, section 3): every subgroup is reached
+    from the trivial one by adjoining one element at a time, so adjoining
+    elements to already-found subgroups reaches all of them.  For a found K
+    one element g per right coset K*g outside K suffices, because
+    <K, k*g> = <K, g> for every k in K; and <K, g> is closed from the
+    generators K was found from plus g.  That is [U:K] - 1 closures for each
+    K in the lattice of the universe U.  Deterministic order: by order, then
+    by member tuple.
     """
     universe = _as_universe(group_or_subgroup)
     group = universe.group
@@ -506,21 +511,19 @@ def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
         raise ResourceLimitError(
             f"group order {group.order} exceeds the subgroup-enumeration bound {bound}"
         )
-    found = {(group.identity,): Subgroup(group, (group.identity,))}
-    frontier = [found[(group.identity,)]]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            mem = sub.member_set
-            for g in universe.members:
-                if g in mem:
-                    continue
-                bigger = _close_under_products(group, sub.members + (g,))
-                if bigger not in found:
-                    bigger_sub = Subgroup(group, bigger)
-                    found[bigger] = bigger_sub
-                    nxt.append(bigger_sub)
-        frontier = nxt
+    trivial = (group.identity,)
+    found = {trivial: Subgroup(group, trivial)}
+    frontier = [(trivial, ())]  # (members, generators found from)
+    for members, gens in frontier:  # grows while it is walked
+        covered = set(members)
+        for g in universe.members:
+            if g in covered:
+                continue
+            covered.update(group.table[k][g] for k in members)
+            bigger = _close_under_products(group, gens + (g,))
+            if bigger not in found:
+                found[bigger] = Subgroup(group, bigger)
+                frontier.append((bigger, gens + (g,)))
     return sorted(found.values(), key=lambda s: (s.order, s.members))
 
 
@@ -717,25 +720,17 @@ def perfect_coset_count(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:
 
     Equivalently: involutions of the normalizer-of-J quotient by J that do
     not come from H.  Cosets outside H can never be the identity coset, so
-    only order-exactly-2 cosets are counted.
+    only order-exactly-2 cosets are counted.  Both tests hold for every
+    member of a coset J*r or for none: j*r normalizes J exactly when r
+    does, and then (j*r)^2 = j*(r*j*r^-1)*r^2 lies in J exactly when r^2
+    does.  So one representative per coset is tested.
     """
-    if J.group is not G or H.group is not G:
-        raise InvalidParameterError("subgroups live in different ambient groups")
-    if not J.is_subset_of(H) or 2 * H.order != G.order:
-        raise InvalidParameterError("need J <= H <= G with H of index 2")
-    ng = normalizer(whole_group(G), J)
     jset = J.member_set
-    hset = H.member_set
-    count = 0
-    seen: set[frozenset[int]] = set()
-    for r in ng.members:
-        if r in hset or G.table[r][r] not in jset:
-            continue
-        coset = frozenset(G.table[r][j] for j in J.members)
-        if coset not in seen:
-            seen.add(coset)
-            count += 1
-    return count
+    return sum(
+        1
+        for r in right_coset_reps_outside(J, G, H)
+        if G.table[r][r] in jset and J.conjugated_by(r).members == J.members
+    )
 
 
 # -- display helpers ----------------------------------------------------------

@@ -19,6 +19,25 @@ MALFORMED_SPECS = {
     "number-as-label": json.dumps(
         {"group": {"kind": "dihedral", "n": 6}, "H": [5], "kind": "type2", "J1": [], "J2": []}
     ),
+    "number-as-subgroup": json.dumps(
+        {
+            "group": {"kind": "dihedral", "n": 6},
+            "H": ["e", "a^2", "a^4", "b", "a^2b", "a^4b"],
+            "kind": "type2",
+            "J1": 5,
+            "J2": ["e"],
+        }
+    ),
+    # A string is not read as the list of its characters.
+    "string-as-subgroup": json.dumps(
+        {
+            "group": {"kind": "dihedral", "n": 6},
+            "H": ["e", "a^2", "a^4", "b", "a^2b", "a^4b"],
+            "kind": "type1",
+            "J": "e",
+            "r": "a",
+        }
+    ),
     "type2-y-inside-H": json.dumps(
         {
             "group": {"kind": "dihedral", "n": 6},
@@ -40,6 +59,28 @@ def four_color_spec_file(tmp_path, d6, hexH):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_json()), encoding="utf-8")
     return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subgroups", "--group", "dihedral:6"],
+        ["enumerate", "--group", "dihedral:6", "--H", "a2,b"],
+        ["enumerate", "--group", "dihedral:6", "--H", "a2,b", "--format", "csv"],
+        ["table1"],
+        ["render", "{spec}"],
+        ["conjugate", "{spec}", "--map", "a=a5,b=ab"],
+    ],
+    ids=["subgroups", "enumerate-json", "enumerate-csv", "table1", "render", "conjugate"],
+)
+def test_unwritable_out_exits_two(tmp_path, capsys, four_color_spec_file, argv):
+    out = tmp_path / "missing" / "x"
+    argv = [str(four_color_spec_file) if a == "{spec}" else a for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 class TestSubgroupsCommand:

@@ -190,11 +190,47 @@ class TestClosure:
             return close(group, seed)
 
         monkeypatch.setattr(groups, "_close_under_products", recording)
-        assert len(all_subgroups(H)) == 35
+        subs = all_subgroups(H)
         monkeypatch.undo()
-        assert len(seeds) > 35
+        assert len(subs) == 35
+        # One closure per right coset outside each subgroup of the lattice.
+        assert len(seeds) == sum(H.order // K.order - 1 for K in subs)
         for seed in seeds:
             assert close(g2, seed) == naive_closure(g2, seed)
+
+
+def saturating_subgroups(universe):
+    """Reference search: adjoin every element outside each found subgroup
+    and close all of its members with it, until nothing new appears."""
+    group = universe.group
+    found = {(group.identity,)}
+    frontier = [(group.identity,)]
+    while frontier:
+        nxt = []
+        for members in frontier:
+            mem = set(members)
+            for g in universe.members:
+                if g not in mem:
+                    bigger = groups._close_under_products(group, members + (g,))
+                    if bigger not in found:
+                        found.add(bigger)
+                        nxt.append(bigger)
+        frontier = nxt
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [f"dihedral:{n}" for n in (*range(1, 13), 16, 24)]
+    + [f"p4m_quotient:{n}" for n in range(1, 5)],
+)
+def test_all_subgroups_matches_saturating_search(descriptor):
+    group = group_from_descriptor(parse_group_arg(descriptor))
+    universes = [whole_group(group), subgroup_generated(group, [])]
+    universes += subgroups_of_index(group, 2)
+    for universe in universes:
+        got = [s.members for s in all_subgroups(universe)]
+        assert got == saturating_subgroups(universe), generating_words(universe)
 
 
 class TestSubgroupMachinery:
