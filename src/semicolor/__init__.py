@@ -3,6 +3,7 @@
 from .census import (
     Census,
     CensusEntry,
+    ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
     action_equivalence_check,

@@ -24,8 +24,11 @@ block is a sorted tuple:
   a semiperfect cell it differs from B (else r^-1 would stabilize P), so
   the key is the partition of the smaller of B and r^-1*B.
 
-The census builds no partition for either.  Per color group H it computes
-one subgroup pool and the left coset representatives of each J in it; the
+The census builds no partition for either.  Per color group H it builds
+one ``ColorGroupTables``: one subgroup pool and the left coset
+representatives of each J in it.  ``enumerate_type1``, ``enumerate_type2``
+and ``type1_cells`` take those tables as their only argument, and the
+census, ``table1`` and ``verify`` all call them by these names.  The
 blocks h*base are then one sort per representative (``_translates``).  A
 type-2 key is ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the
 left cosets of J and ``outside[J]`` the H-translates of y0*J, both built
@@ -224,12 +227,13 @@ class _BlockText(dict):
         return text
 
 
-class _BlockTables:
-    """What both pipelines of one color group H read per subgroup J of its
-    pool: the left coset representatives of J in H, from which every block
-    and every core is built, and the text of each block."""
+class ColorGroupTables:
+    """What every pipeline of one index-2 color group H reads, built once:
+    its subgroup pool under the color cap, the left coset representatives
+    of each J in it, from which every block and core is built, and the text
+    of each block.  It is the only argument of each pipeline."""
 
-    def __init__(self, G: FiniteGroup, H: Subgroup, max_colors: int | None):
+    def __init__(self, G: FiniteGroup, H: Subgroup, max_colors: int | None = None):
         if H.group is not G:
             raise InvalidParameterError("H belongs to a different group")
         if 2 * H.order != G.order:
@@ -282,18 +286,12 @@ class _BlockTables:
 # -- pipelines -------------------------------------------------------------------
 
 
-def enumerate_type2(
-    G: FiniteGroup, H: Subgroup, max_colors: int | None = None
-) -> list[CensusEntry]:
+def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
     """One census entry per unordered pair {J1, J2} of distinct subgroups of H.
 
     All entries are semiperfect and pairwise inequivalent; the only other
     partition equivalent to the (J1, J2) entry is its (J2, J1) swap.
     """
-    return _type2_entries(_BlockTables(G, H, max_colors))
-
-
-def _type2_entries(tables: _BlockTables) -> list[CensusEntry]:
     H, cap, reps = tables.H, tables.max_colors, tables.reps
     group = H.group
     # Two colors at least, so a subgroup of index cap belongs to no pair.
@@ -328,27 +326,19 @@ def _type2_entries(tables: _BlockTables) -> list[CensusEntry]:
     return entries
 
 
-def enumerate_type1(
-    G: FiniteGroup, H: Subgroup, max_colors: int | None = None
-) -> list[CensusEntry]:
+def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
     """Semiperfect one-orbit colorings, one entry per equivalence class.
 
-    Iterates conjugacy-class representatives J (under conjugation by all of
-    G), left coset representatives l of the H-normalizer of J, and right
-    coset representatives of the l-conjugate of J outside H; keeps the
-    semiperfect cells and collapses equivalent pairs via the orbit key.
+    Walks the ``type1_cells`` grid, keeps the semiperfect cells and
+    collapses equivalent pairs via the orbit key.
     """
-    return _type1_entries(_BlockTables(G, H, max_colors))
-
-
-def _type1_entries(tables: _BlockTables) -> list[CensusEntry]:
     H = tables.H
     group = H.group
     # One entry per identity block of a key (see the module docstring).
     entries: dict[tuple[int, ...], CensusEntry] = {}
     # l lies in H, so core_H(l*J*l^-1) = core_H(J): one core per class.
     cores: dict[tuple[int, ...], int] = {}
-    for J, l, r, verdict in _type1_cells(group, H, tables.pool):
+    for J, l, r, verdict in type1_cells(tables):
         if verdict.perfect:
             continue
         base = _type1_base(group, J.conjugated_by(l), r)
@@ -373,21 +363,17 @@ def _type1_base(group: FiniteGroup, J: Subgroup, r: int) -> tuple[int, ...]:
     return min(block, moved)
 
 
-def type1_cells(
-    G: FiniteGroup, H: Subgroup, max_colors: int | None = None
-) -> Iterable[tuple[Subgroup, int, int, "TypeOneVerdict"]]:
+def type1_cells(tables: ColorGroupTables) -> Iterable[tuple[Subgroup, int, int, TypeOneVerdict]]:
     """The (J, l, r) grid underlying the one-orbit enumeration.
 
-    Yields base class representatives J with l running over coset
-    representatives of the H-normalizer and r over the conjugated right
-    coset representatives, in deterministic order.
+    Yields conjugacy-class representatives J of the pool (under conjugation
+    by all of G), with l running over left coset representatives of the
+    H-normalizer of J and r over the l-conjugated right coset
+    representatives of J outside H, in deterministic order.
     """
-    return _type1_cells(G, H, subgroup_pool(H, max_colors))
-
-
-def _type1_cells(G: FiniteGroup, H: Subgroup, pool: Sequence[Subgroup]):
-    classes = conjugacy_classes_of_subgroups(pool, whole_group(G))
-    for cls in classes:
+    H = tables.H
+    G = H.group
+    for cls in conjugacy_classes_of_subgroups(tables.pool, whole_group(G)):
         J = cls[0]
         nh = normalizer(H, J)
         L = left_coset_reps(H, nh)
@@ -520,8 +506,12 @@ def enumerate_all_semiperfect(
 
     Entries for distinct H are automatically inequivalent, so the union
     needs no cross-H deduplication.  ``type1`` entries have one color
-    orbit and ``type2`` entries two.
+    orbit and ``type2`` entries two; ``kinds`` names each at most once.
     """
+    if not set(kinds) <= {"type1", "type2"} or len(set(kinds)) != len(kinds):
+        raise InvalidParameterError(
+            f"kinds must name type1 and type2 at most once each, got {tuple(kinds)!r}"
+        )
     if H_filter is None:
         H_filter = subgroups_of_index(G, 2)
     entries: list[CensusEntry] = []
@@ -537,9 +527,9 @@ def enumerate_all_semiperfect(
         )
     for H in H_filter:
         h_key = generating_words(H)
-        tables = _BlockTables(G, H, max_colors)  # one subgroup pool per color group
+        tables = ColorGroupTables(G, H, max_colors)  # one subgroup pool per color group
         for kind in kinds:
-            pipeline = _type1_entries if kind == "type1" else _type2_entries
+            pipeline = enumerate_type1 if kind == "type1" else enumerate_type2
             part = pipeline(tables)
             by_part[(h_key, kind)] = len(part)
             entries.extend(part)
@@ -574,7 +564,7 @@ def type1_reference_grid(G: FiniteGroup, H: Subgroup) -> list[GridRow]:
     rows = []
     counter = 0
     first_seen: dict[tuple, int] = {}
-    for J, l, r, verdict in type1_cells(G, H):
+    for J, l, r, verdict in type1_cells(ColorGroupTables(G, H)):
         if verdict.perfect:
             rows.append(GridRow(J, l, r, PERFECT, PERFECT))
             continue

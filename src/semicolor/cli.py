@@ -167,6 +167,11 @@ def cmd_enumerate(args) -> int:
             raise InvalidParameterError(
                 f"color group <{','.join(H.label_list())}> does not have index 2"
             )
+    if args.out:  # fail before the long run on a path _emit could not write
+        out = Path(args.out)
+        if out.is_dir() or not out.parent.is_dir():
+            reason = "Is a directory" if out.is_dir() else f"{out.parent} is not a directory"
+            raise InvalidParameterError(f"cannot write {args.out}: {reason}")
     kinds = {"1": ("type1",), "2": ("type2",), "all": ("type1", "type2")}[args.type]
     census = enumerate_all_semiperfect(
         group,

@@ -4,14 +4,14 @@ Every fast path in the package has an independent brute-force counterpart;
 these suites run both over exhaustive inputs for a chosen group and report
 any disagreement.  They back the ``verify`` CLI command.
 
-The sweep is built once per color group H: one subgroup pool (the full
-lattice of H up to order 16, else the subgroups of index <= 4) and one
-``enumerate_type2`` and one ``enumerate_type1`` call over the same cap.
+The sweep is built once per color group H: one ``ColorGroupTables`` (its
+pool is the lattice of H up to order 16, else the subgroups of index <= 4),
+and the census's own ``enumerate_type2`` and ``enumerate_type1`` on them.
 ``coset-bookkeeping``, ``class-equation``, ``involution-bridge``,
 ``one-orbit-oracle`` and ``two-orbit-oracle`` read the pool;
 ``orbit-size-two`` and ``conjugate-transport`` read the entries;
-``census-counts`` reads both.  ``grid-pairing`` walks ``type1_cells`` and
-``census-determinism`` runs two whole enumerations of its own.
+``census-counts`` reads both; ``grid-pairing`` walks their ``type1_cells``.
+Only ``census-determinism`` runs two whole enumerations of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from itertools import combinations_with_replacement
 from typing import Callable
 
 from .census import (
+    ColorGroupTables,
     enumerate_all_semiperfect,
     enumerate_type1,
     enumerate_type2,
@@ -103,14 +104,14 @@ class VerificationReport:
 
 
 class _Sweep:
-    """What the suites read of one color group H, built once: its subgroup
-    pool and the entries of both census pipelines, all under one cap."""
+    """What the suites read of one color group H, built once: its tables
+    and the entries of both census pipelines, all under one cap."""
 
     def __init__(self, G: FiniteGroup, H: Subgroup, cap: int | None):
         self.H = H
-        self.pool = subgroup_pool(H, cap)
-        self.type2 = enumerate_type2(G, H, max_colors=cap)
-        self.type1 = enumerate_type1(G, H, max_colors=cap)
+        self.tables = ColorGroupTables(G, H, cap)
+        self.type2 = enumerate_type2(self.tables)
+        self.type1 = enumerate_type1(self.tables)
 
 
 def _timed(suite: Suite, fn):
@@ -143,7 +144,7 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
         _timed(Suite("one-orbit-oracle"), lambda s: _suite_type1(s, G, sweeps)),
         _timed(Suite("two-orbit-oracle"), lambda s: _suite_type2(s, G, sweeps)),
         _timed(Suite("orbit-size-two"), lambda s: _suite_orbits(s, G, sweeps)),
-        _timed(Suite("grid-pairing"), lambda s: _suite_pairing(s, G, color_groups, cap)),
+        _timed(Suite("grid-pairing"), lambda s: _suite_pairing(s, G, sweeps)),
         _timed(Suite("census-counts"), lambda s: _suite_counts(s, G, sweeps, cap)),
         _timed(Suite("conjugate-transport"), lambda s: _suite_transport(s, G, sweeps)),
     ]
@@ -171,7 +172,7 @@ def _suite_axioms(suite: Suite, G: FiniteGroup):
 def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
-        for K in sweep.pool:
+        for K in sweep.tables.pool:
             regen = subgroup_generated(G, K.members)
             suite.check(regen.members == K.members, lambda: f"closure not idempotent for {K}")
             reps = left_coset_reps(H, K)
@@ -190,7 +191,7 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 def _suite_classes(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     full = whole_group(G)
     for sweep in sweeps:
-        H, subs = sweep.H, sweep.pool
+        H, subs = sweep.H, sweep.tables.pool
         classes = conjugacy_classes_of_subgroups(subs, full)
         suite.check(
             sum(len(c) for c in classes) == len(subs),
@@ -209,7 +210,7 @@ def _suite_bridge(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
         hset = H.member_set
-        for J in sweep.pool:
+        for J in sweep.tables.pool:
             jset = J.member_set
             cosets = set()
             for r in G.elements:
@@ -229,7 +230,7 @@ def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
         outside = H.complement()
-        for J in sweep.pool:
+        for J in sweep.tables.pool:
             for r in outside:
                 fast = classify_type1(J, r, H).perfect
                 oracle = partition_stabilizer(G, type1_partition(H, J, r)).is_whole_group()
@@ -242,7 +243,7 @@ def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 def _suite_type2(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
-        for J1, J2 in combinations_with_replacement(sweep.pool, 2):
+        for J1, J2 in combinations_with_replacement(sweep.tables.pool, 2):
             fast = classify_type2(J1, J2, H) == PERFECT
             oracle = partition_stabilizer(G, type2_partition(H, J1, J2)).is_whole_group()
             suite.check(
@@ -279,11 +280,12 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
             )
 
 
-def _suite_pairing(suite: Suite, G: FiniteGroup, color_groups, cap: int | None):
+def _suite_pairing(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     full = whole_group(G)
-    for H in color_groups:
+    for sweep in sweeps:
+        H = sweep.H
         per_class: dict[tuple, dict] = {}
-        for bJ, l, r, verdict in type1_cells(G, H, max_colors=cap):
+        for bJ, l, r, verdict in type1_cells(sweep.tables):
             if verdict.perfect:
                 continue
             P = type1_partition(H, bJ.conjugated_by(l), r)
@@ -305,7 +307,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int |
     for sweep in sweeps:
         H = sweep.H
         if cap is None:
-            n_subs = len(sweep.pool)
+            n_subs = len(sweep.tables.pool)
             expected2 = n_subs * (n_subs - 1) // 2
         else:
             pool = subgroups_of_index_at_most(H, cap - 1)
@@ -319,7 +321,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int |
             len(sweep.type2) == expected2,
             lambda: f"two-orbit census size mismatch for H={H}",
         )
-        classes = conjugacy_classes_of_subgroups(sweep.pool, full)
+        classes = conjugacy_classes_of_subgroups(sweep.tables.pool, full)
         total = sum(count_semiperfect_type1(G, H, cls[0]) for cls in classes)
         suite.check(
             len(sweep.type1) == total,

@@ -12,6 +12,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 from semicolor.census import (
+    ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
     conjugate_spec,
@@ -96,7 +97,7 @@ def test_01_reference_grid_reproduction(d6, hexH):
 
 def test_02_hexagon_two_orbit_count(d6, hexH):
     with criterion(2, "hexagon two-orbit census = 15", 1.0):
-        entries = enumerate_type2(d6, hexH)
+        entries = enumerate_type2(ColorGroupTables(d6, hexH))
         assert len(entries) == 15
         assert len({e.key for e in entries}) == 15
         assert all(e.classification.verdict == SEMIPERFECT for e in entries)
@@ -119,7 +120,7 @@ def test_04_square_pattern_two_orbit_count(g4):
         assert low_index_subgroup_count(pres, 3) == 0
         H = subgroup_from_words(g4, "a,ab,xy,Xy")
         assert len(subgroups_of_index(H, 2)) == 7  # finite-quotient route
-        entries = enumerate_type2(g4, H, max_colors=4)
+        entries = enumerate_type2(ColorGroupTables(g4, H, 4))
         assert len(entries) == 28
         assert all(e.classification.verdict == SEMIPERFECT for e in entries)
         assert all(e.classification.num_colors <= 4 for e in entries)
@@ -184,7 +185,7 @@ def test_08_grid_pairing_structure(d6, hexH, g2):
         Jb = subgroup_from_words(d6, "b")
         cells = [
             (l, r, verdict)
-            for J, l, r, verdict in type1_cells(d6, hexH)
+            for J, l, r, verdict in type1_cells(ColorGroupTables(d6, hexH))
             if J.members == Jb.members
         ]
         assert len(cells) == 9
@@ -208,7 +209,7 @@ def test_08_grid_pairing_structure(d6, hexH, g2):
         found = False
         for H in subgroups_of_index(g2, 2):
             grid = {}
-            for J, l, r, verdict in type1_cells(g2, H):
+            for J, l, r, verdict in type1_cells(ColorGroupTables(g2, H)):
                 grid.setdefault(J.members, []).append((J, l, r, verdict))
             for members, cls_cells in grid.items():
                 J = cls_cells[0][0]
@@ -346,7 +347,7 @@ def test_12_stretch_one_orbit_four_color_report(g4):
         per_h = {}
         for words in ("a,ab,xy,Xy", "xa,ab,xy,Xy"):
             H = subgroup_from_words(g4, words)
-            entries = enumerate_type1(g4, H, max_colors=4)
+            entries = enumerate_type1(ColorGroupTables(g4, H, 4))
             by_colors = Counter(e.classification.num_colors for e in entries)
             per_h[words] = (len(entries), dict(by_colors))
         combined = sum(n for n, _ in per_h.values())
@@ -357,7 +358,7 @@ def test_12_stretch_one_orbit_four_color_report(g4):
         # the modulus-8 quotient reports identical numbers.
         g8 = build_p4m_quotient(8)
         H8 = subgroup_from_words(g8, "a,ab,xy,Xy")
-        entries8 = enumerate_type1(g8, H8, max_colors=4)
+        entries8 = enumerate_type1(ColorGroupTables(g8, H8, 4))
         assert len(entries8) == per_h["a,ab,xy,Xy"][0]
         print("  modulus-8 cross-check: identical count, census is saturated")
         # Split the per-group census by whether some element outside H

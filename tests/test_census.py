@@ -5,6 +5,7 @@ import pytest
 
 from semicolor import census, partitions
 from semicolor.census import (
+    ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
     action_equivalence_check,
@@ -45,41 +46,41 @@ from semicolor.partitions import (
 
 class TestTypeTwoCensus:
     def test_hexagon_count(self, d6, hexH):
-        entries = enumerate_type2(d6, hexH)
+        entries = enumerate_type2(ColorGroupTables(d6, hexH))
         assert len(entries) == 15
 
     def test_rotation_group_count(self, d6, hexH_rot):
         # C6 has 4 subgroups, so 4 choose 2 unordered pairs.
         assert len(all_subgroups(hexH_rot)) == 4
-        assert len(enumerate_type2(d6, hexH_rot)) == 6
+        assert len(enumerate_type2(ColorGroupTables(d6, hexH_rot))) == 6
 
     def test_all_entries_semiperfect_and_inequivalent(self, d6, hexH):
-        entries = enumerate_type2(d6, hexH)
+        entries = enumerate_type2(ColorGroupTables(d6, hexH))
         assert all(e.classification.verdict == SEMIPERFECT for e in entries)
         for i, e1 in enumerate(entries):
             for e2 in entries[i + 1 :]:
                 assert equivalent(e1.spec.partition, e2.spec.partition, d6) is None
 
     def test_two_orbits_each(self, d6, hexH):
-        for e in enumerate_type2(d6, hexH):
+        for e in enumerate_type2(ColorGroupTables(d6, hexH)):
             assert e.classification.num_color_orbits == 2
 
     def test_max_colors_filter(self, d6, hexH):
-        capped = enumerate_type2(d6, hexH, max_colors=4)
+        capped = enumerate_type2(ColorGroupTables(d6, hexH, 4))
         assert all(e.classification.num_colors <= 4 for e in capped)
-        full = enumerate_type2(d6, hexH)
+        full = enumerate_type2(ColorGroupTables(d6, hexH))
         assert len(capped) == sum(1 for e in full if e.classification.num_colors <= 4)
 
     def test_square_quotient_28(self, g4):
         H = subgroup_from_words(g4, "a,ab,xy,Xy")
-        entries = enumerate_type2(g4, H, max_colors=4)
+        entries = enumerate_type2(ColorGroupTables(g4, H, 4))
         assert len(entries) == 28
         assert Counter(e.classification.num_colors for e in entries) == {4: 21, 3: 7}
 
 
 class TestTypeOneCensus:
     def test_hexagon_entries_match_reference_grid(self, d6, hexH):
-        entries = enumerate_type1(d6, hexH)
+        entries = enumerate_type1(ColorGroupTables(d6, hexH))
         assert len(entries) == 4
         got = {
             (generating_words(e.spec.J), d6.labels[e.spec.l], d6.labels[e.spec.r])
@@ -93,23 +94,23 @@ class TestTypeOneCensus:
         }
 
     def test_rotation_group_has_none(self, d6, hexH_rot):
-        assert enumerate_type1(d6, hexH_rot) == []
+        assert enumerate_type1(ColorGroupTables(d6, hexH_rot)) == []
 
     def test_counts_match_closed_form(self, d6, hexH):
         by_class = {}
         for J in conjugacy_class_reps_of_subgroups(hexH, whole_group(d6)):
             by_class[generating_words(J)] = count_semiperfect_type1(d6, hexH, J)
         assert by_class == {"<a^2,b>": 0, "<a^2>": 0, "<b>": 3, "{e}": 1}
-        assert sum(by_class.values()) == len(enumerate_type1(d6, hexH))
+        assert sum(by_class.values()) == len(enumerate_type1(ColorGroupTables(d6, hexH)))
 
     def test_entries_inequivalent_by_oracle(self, d6, hexH):
-        entries = enumerate_type1(d6, hexH)
+        entries = enumerate_type1(ColorGroupTables(d6, hexH))
         for i, e1 in enumerate(entries):
             for e2 in entries[i + 1 :]:
                 assert equivalent(e1.spec.partition, e2.spec.partition, d6) is None
 
     def test_one_orbit_each(self, d6, hexH):
-        for e in enumerate_type1(d6, hexH):
+        for e in enumerate_type1(ColorGroupTables(d6, hexH)):
             assert e.classification.num_color_orbits == 1
 
 
@@ -154,7 +155,7 @@ class TestReferenceGrid:
         found = None
         for H in subgroups_of_index(g2, 2):
             per_class = {}
-            for J, l, r, verdict in type1_cells(g2, H):
+            for J, l, r, verdict in type1_cells(ColorGroupTables(g2, H)):
                 per_class.setdefault(J.members, []).append((J, l, r, verdict))
             for members, cells in per_class.items():
                 J = cells[0][0]
@@ -200,6 +201,40 @@ class TestFullCensus:
         assert one.total == 4
         assert two.total == 15
 
+    @pytest.mark.parametrize("kinds", [("type3",), ("type1", "type1")])
+    def test_unknown_or_repeated_kind_rejected(self, d6, monkeypatch, kinds):
+        def refuse(*args, **kwargs):
+            raise AssertionError("census work started before the kinds were checked")
+
+        monkeypatch.setattr(census, "subgroups_of_index", refuse)
+        monkeypatch.setattr(census, "ColorGroupTables", refuse)
+        with pytest.raises(InvalidParameterError, match="kinds"):
+            enumerate_all_semiperfect(d6, kinds=kinds)
+
+    def test_each_pipeline_runs_once_per_color_group(self, monkeypatch):
+        # The census reaches its pipelines through the public names, so the
+        # code that the tests and the tracer see is the code the census runs.
+        G = group_from_descriptor(parse_group_arg("dihedral:8"))
+        calls = Counter()
+        for name in ("enumerate_type1", "enumerate_type2", "type1_cells"):
+            plain = getattr(census, name)
+
+            def counting(tables, name=name, plain=plain):
+                calls[name, tables.H.members] += 1
+                return plain(tables)
+
+            monkeypatch.setattr(census, name, counting)
+        assert enumerate_all_semiperfect(G).total == 122
+        color_groups = [H.members for H in subgroups_of_index(G, 2)]
+        assert len(color_groups) == 3
+        assert calls == Counter(
+            {
+                (name, H): 1
+                for name in ("enumerate_type1", "enumerate_type2", "type1_cells")
+                for H in color_groups
+            }
+        )
+
     def test_standard_color_groups(self, d6, g2):
         assert [generating_words(H) for H in standard_color_groups(d6)] == [
             "<a^2,b>", "<a>",
@@ -243,7 +278,7 @@ def test_closed_form_classification_matches_color_action():
     # p4m_quotient:2 do.
     checked = 0
     for descriptor, G, H in _color_group_sweep():
-        for entry in enumerate_type1(G, H) + enumerate_type2(G, H):
+        for entry in enumerate_type1(ColorGroupTables(G, H)) + enumerate_type2(ColorGroupTables(G, H)):
             oracle = color_action(H, entry.spec.partition).classification
             assert entry.classification == oracle, (descriptor, entry.key_string())
             checked += 1
@@ -254,7 +289,7 @@ def test_type2_keys_match_equivalence_key():
     # The type-2 pipeline takes the orbit key in closed form, without
     # translating the partition; equivalence_key translates it.
     for descriptor, G, H in _color_group_sweep():
-        for entry in enumerate_type2(G, H):
+        for entry in enumerate_type2(ColorGroupTables(G, H)):
             assert entry.key == equivalence_key(entry.spec.partition, H), (
                 descriptor, entry.key_string()
             )
@@ -275,7 +310,7 @@ def test_type1_keys_match_equivalence_key():
                     descriptor, J, G.labels[r]
                 )
                 cells += 1
-        for entry in enumerate_type1(G, H):
+        for entry in enumerate_type1(ColorGroupTables(G, H)):
             assert entry.key == equivalence_key(entry.spec.partition, H), (
                 descriptor, entry.key_string()
             )
@@ -406,7 +441,7 @@ def test_reference_grid_matches_equivalence_key_numbering():
     rows = 0
     for descriptor, G, H in _color_group_sweep():
         expected, first_seen = [], {}
-        for J, l, r, verdict in type1_cells(G, H):
+        for J, l, r, verdict in type1_cells(ColorGroupTables(G, H)):
             if verdict.perfect:
                 expected.append((J, l, r, "perfect", "perfect"))
                 continue
@@ -508,7 +543,7 @@ class TestAutomorphisms:
 
     def test_verdicts_preserved_across_census(self, d6, hexH):
         alpha = GroupAutomorphism.from_generator_images(d6, {"a": "a5", "b": "ab"})
-        for entry in enumerate_type2(d6, hexH) + enumerate_type1(d6, hexH):
+        for entry in enumerate_type2(ColorGroupTables(d6, hexH)) + enumerate_type1(ColorGroupTables(d6, hexH)):
             moved = conjugate_spec(entry.spec, alpha)
             oracle = partition_stabilizer(d6, moved.partition)
             assert not oracle.is_whole_group()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import semicolor.cli
 from semicolor.census import ColoringSpec
 from semicolor.cli import main
 from semicolor.groups import subgroup_from_words
@@ -171,6 +172,20 @@ class TestEnumerateCommand:
         assert main(argv + [str(default)]) == 0
         assert main(argv + [str(named), "--H", "a", "--H", "a2,b", "--H", "a2,ab"]) == 0
         assert default.read_bytes() == named.read_bytes()
+
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_fails_before_enumerating(self, tmp_path, capsys, monkeypatch, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated although --out cannot be written")
+
+        monkeypatch.setattr(semicolor.cli, "enumerate_all_semiperfect", refuse)
+        out = tmp_path / target
+        assert main(["enumerate", "--group", "p4m_quotient:6", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_index_two_color_group_rejected(self, capsys):
         assert main(["enumerate", "--group", "dihedral:6", "--H", "a2"]) == 2

@@ -29,20 +29,19 @@ def test_failure_text_is_built_only_for_failing_checks(d6, hexH, monkeypatch):
     assert shown == [hexH.members]
 
 
-def test_each_census_pipeline_runs_once_per_color_group(monkeypatch):
+def test_each_color_group_builds_its_tables_once(monkeypatch):
+    # One ColorGroupTables per color group feeds both pipelines and the
+    # grid-pairing walk; only census-determinism enumerates on its own.
     G = build_dihedral(8)
-    calls = Counter()
-    for name in ("enumerate_type1", "enumerate_type2"):
-        plain = getattr(semicolor.verify, name)
+    built = Counter()
+    plain = semicolor.verify.ColorGroupTables
 
-        def counting(G, H, max_colors=None, name=name, plain=plain):
-            calls[name, H.members] += 1
-            return plain(G, H, max_colors=max_colors)
+    def counting(G, H, max_colors=None):
+        built[H.members] += 1
+        return plain(G, H, max_colors)
 
-        monkeypatch.setattr(semicolor.verify, name, counting)
+    monkeypatch.setattr(semicolor.verify, "ColorGroupTables", counting)
     assert run_verification(G).passed
     color_groups = [H.members for H in subgroups_of_index(G, 2)]
     assert len(color_groups) == 3
-    assert calls == Counter(
-        {(name, H): 1 for name in ("enumerate_type1", "enumerate_type2") for H in color_groups}
-    )
+    assert built == Counter({H: 1 for H in color_groups})
