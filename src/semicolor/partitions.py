@@ -16,7 +16,8 @@ cases:
 
 Fast classifiers decide perfect versus semiperfect from (J, r) or (J1, J2)
 alone; ``partition_stabilizer`` is the brute-force oracle they are tested
-against.
+against.  ``equivalence_class`` and ``equivalent`` are brute force too: they
+compare every translate gP by its canonical array of block labels.
 """
 
 from __future__ import annotations
@@ -64,25 +65,46 @@ class GroupPartition:
         return len(self.blocks)
 
     def translated(self, g: int) -> "GroupPartition":
-        """The left-translated partition ``{g*B : B in blocks}``."""
-        table = self.group.table
+        """The left-translated partition ``{g*B : B in blocks}``.
+
+        Translation is a bijection, so the translated blocks are distinct
+        and only need sorting, each inside and then among themselves.
+        """
+        row = self.group.table[g]
         return GroupPartition(
-            self.group,
-            canonical_blocks(tuple(table[g][e] for e in block) for block in self.blocks),
+            self.group, tuple(sorted([tuple(sorted([row[e] for e in b])) for b in self.blocks]))
         )
+
+    def _translated_labels(self, g: int) -> tuple[int, ...]:
+        """The block labels of gP in canonical form, ``x -> block of x``.
+
+        The block of x in gP is g times the block of g^-1*x in P; numbering
+        the labels in order of first appearance gives the blocks their
+        canonical order, as in ``block_of``.  So ``_translated_labels(g) ==
+        Q.block_of`` exactly when gP == Q.
+        """
+        bid = self.block_of
+        row = self.group.table[self.group.inverse[g]]
+        rank: dict[int, int] = {}
+        return tuple([rank.setdefault(bid[x], len(rank)) for x in row])
 
     def _block_image(self, g: int) -> list[int] | None:
         """Where left translation by g sends each block index, or None
-        when it splits some block."""
+        when it splits some block.
+
+        Each block must land inside the block of its first member's image;
+        the images of all blocks then cover the group, so they permute the
+        blocks.
+        """
         row = self.group.table[g]
         bid = self.block_of
-        image = [-1] * len(self.blocks)
-        for e in range(self.group.order):
-            src, dst = bid[e], bid[row[e]]
-            if image[src] < 0:
-                image[src] = dst
-            elif image[src] != dst:
-                return None
+        image = []
+        for block in self.blocks:
+            dst = bid[row[block[0]]]
+            for e in block:
+                if bid[row[e]] != dst:
+                    return None
+            image.append(dst)
         return image
 
     def is_stabilized_by(self, g: int) -> bool:
@@ -131,6 +153,11 @@ def _validate_partition(group: FiniteGroup, blocks: Sequence[tuple[int, ...]]):
 def _require_index_two(H: Subgroup):
     if 2 * H.order != H.group.order:
         raise InvalidParameterError("the color group H must have index 2")
+
+
+def _require_partition_of(G: FiniteGroup, P: GroupPartition):
+    if P.group is not G:
+        raise InvalidParameterError("partition belongs to a different group")
 
 
 def _require_inside(J: Subgroup, H: Subgroup, name: str = "J"):
@@ -209,24 +236,30 @@ def type2_partition(H: Subgroup, J1: Subgroup, J2: Subgroup) -> GroupPartition:
 
 def partition_stabilizer(G: FiniteGroup, P: GroupPartition) -> Subgroup:
     """The color group of P: every g with gP = P, found by testing all g."""
-    if P.group is not G:
-        raise InvalidParameterError("partition belongs to a different group")
+    _require_partition_of(G, P)
     return Subgroup(G, tuple(g for g in G.elements if P.is_stabilized_by(g)))
 
 
 def equivalence_class(P: GroupPartition, G: FiniteGroup) -> list[GroupPartition]:
-    """All distinct translates gP, in canonical order."""
-    seen: dict[tuple, GroupPartition] = {}
+    """All distinct translates gP, in canonical order.
+
+    Every g is tried; translates are compared by their canonical label
+    arrays, and one partition is built per distinct translate.
+    """
+    _require_partition_of(G, P)
+    first: dict[tuple[int, ...], int] = {}
     for g in G.elements:
-        q = P.translated(g)
-        seen.setdefault(q.blocks, q)
-    return [seen[k] for k in sorted(seen)]
+        first.setdefault(P._translated_labels(g), g)
+    return sorted((P.translated(g) for g in first.values()), key=lambda q: q.blocks)
 
 
 def equivalent(P: GroupPartition, Q: GroupPartition, G: FiniteGroup) -> int | None:
     """Some g with gP = Q, or None; smallest witness wins."""
+    _require_partition_of(G, P)
+    _require_partition_of(G, Q)
+    target = Q.block_of
     for g in G.elements:
-        if P.translated(g).blocks == Q.blocks:
+        if P._translated_labels(g) == target:
             return g
     return None
 

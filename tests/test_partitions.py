@@ -1,8 +1,9 @@
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from semicolor.census import ColoringSpec
+from semicolor.census import ColoringSpec, enumerate_all_semiperfect
 from semicolor.errors import InvalidParameterError, NotAPartitionError
 from semicolor.groups import (
     all_subgroups,
@@ -255,6 +256,20 @@ class TestEquivalence:
     def test_inequivalent_examples(self, d6, four_color, three_color):
         assert equivalent(four_color, three_color, d6) is None
 
+    def test_rejects_partition_of_another_group(self, d6, four_color):
+        # D4 is smaller than D6 and D8 larger; neither may be mistaken for
+        # the group the partition lives in.
+        for other in (build_dihedral(4), build_dihedral(8)):
+            with pytest.raises(InvalidParameterError):
+                equivalence_class(four_color, other)
+            with pytest.raises(InvalidParameterError):
+                equivalent(four_color, four_color, other)
+        foreign = GroupPartition.from_blocks(build_dihedral(6), four_color.blocks)
+        with pytest.raises(InvalidParameterError):
+            equivalent(four_color, foreign, d6)
+        with pytest.raises(InvalidParameterError):
+            equivalent(foreign, four_color, d6)
+
     def test_square_pattern_mirror_witness(self, g2):
         H = subgroup_from_words(g2, "ab,a3b,x,y")
         P = general_partition(
@@ -434,3 +449,106 @@ class TestCosetIndexedBlocks:
     def test_smallest_outside_is_first_of_complement(self, color_group_sweep):
         for G, H, subs in color_group_sweep:
             assert smallest_outside(H) == H.complement()[0]
+
+
+# -- the label-array oracles against the plain translate-and-compare ones -------
+
+
+def reference_translated(P, g):
+    table = P.group.table
+    return canonical_blocks([table[g][e] for e in block] for block in P.blocks)
+
+
+def reference_equivalence_class(P, G):
+    """Every translate gP, sorted into canonical form; the first g that
+    gives each distinct translate, keyed by its blocks."""
+    first = {}
+    for g in G.elements:
+        first.setdefault(reference_translated(P, g), g)
+    return dict(sorted(first.items()))
+
+
+def reference_block_image(P, g):
+    """Where g sends each block index, element by element; None when g
+    splits a block."""
+    row = P.group.table[g]
+    bid = P.block_of
+    image = [-1] * P.num_blocks
+    for e in range(P.group.order):
+        src, dst = bid[e], bid[row[e]]
+        if image[src] < 0:
+            image[src] = dst
+        elif image[src] != dst:
+            return None
+    return image
+
+
+def reference_partition_stabilizer(G, P):
+    return tuple(g for g in G.elements if reference_block_image(P, g) is not None)
+
+
+def assert_oracles_match_reference(G, P):
+    first = reference_equivalence_class(P, G)
+    orbit = equivalence_class(P, G)
+    assert [Q.blocks for Q in orbit] == list(first)
+    for Q in orbit:
+        assert equivalent(P, Q, G) == first[Q.blocks]
+    stabilizer = reference_partition_stabilizer(G, P)
+    assert partition_stabilizer(G, P).members == stabilizer
+    for g in stabilizer:
+        assert P.permutation_induced_by(g) == tuple(reference_block_image(P, g))
+    splitting = next((g for g in G.elements if g not in stabilizer), None)
+    if splitting is not None:
+        with pytest.raises(InvalidParameterError):
+            P.permutation_induced_by(splitting)
+
+
+def test_translated_matches_reference():
+    G = build_dihedral(12)
+    for entry in enumerate_all_semiperfect(G).entries:
+        P = entry.spec.partition
+        for g in G.elements:
+            assert P.translated(g).blocks == reference_translated(P, g)
+
+
+CENSUS_GROUPS = [f"dihedral:{n}" for n in range(3, 13)] + ["p4m_quotient:1", "p4m_quotient:2"]
+
+
+@pytest.mark.parametrize("name", CENSUS_GROUPS)
+def test_oracles_match_reference_on_census(name):
+    kind, n = name.split(":")
+    G = build_dihedral(int(n)) if kind == "dihedral" else build_p4m_quotient(int(n))
+    entries = enumerate_all_semiperfect(G).entries
+    assert entries
+    for entry in entries:
+        assert_oracles_match_reference(G, entry.spec.partition)
+
+
+def test_oracles_match_reference_on_random_partitions():
+    rng = random.Random(13)
+    for G in (build_dihedral(6), build_dihedral(10), build_p4m_quotient(1)):
+        H = subgroups_of_index(G, 2)[0]
+        invariant = 0
+        for _ in range(60):
+            k = rng.randint(1, 6)
+            labels = [rng.randrange(k) for _ in G.elements]
+            blocks = [[g for g in G.elements if labels[g] == b] for b in set(labels)]
+            P = GroupPartition.from_blocks(G, blocks)
+            invariant += all(P.is_stabilized_by(h) for h in H.members)
+            assert_oracles_match_reference(G, P)
+        assert invariant < 60  # mostly not H-invariant
+
+
+def test_oracles_match_reference_on_unequal_blocks():
+    for G in (build_dihedral(8), build_dihedral(12), build_p4m_quotient(1)):
+        for H in subgroups_of_index(G, 2):
+            y = smallest_outside(H)
+            subs = all_subgroups(H)
+            for J1, J2 in product(subs, repeat=2):
+                if J1.order == J2.order:
+                    continue
+                P = general_partition(
+                    H, [(J1, [G.identity]), (J2.conjugated_by(y), [y])]
+                )
+                assert len({len(b) for b in P.blocks}) == 2
+                assert_oracles_match_reference(G, P)

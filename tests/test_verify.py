@@ -1,7 +1,7 @@
 from collections import Counter
 
 import semicolor.verify
-from semicolor.groups import Subgroup, build_dihedral, subgroups_of_index
+from semicolor.groups import Subgroup, build_dihedral, build_p4m_quotient, subgroups_of_index
 from semicolor.verify import Suite, run_verification
 
 
@@ -45,3 +45,42 @@ def test_each_color_group_builds_its_tables_once(monkeypatch):
     color_groups = [H.members for H in subgroups_of_index(G, 2)]
     assert len(color_groups) == 3
     assert built == Counter({H: 1 for H in color_groups})
+
+
+def test_one_orbit_oracle_builds_one_partition_per_right_coset(monkeypatch):
+    # type1_partition(H, J, r) depends only on J*r: the suite builds one
+    # partition per distinct (J, J*r) and still checks every (J, r).
+    G = build_dihedral(8)
+    sweeps = [semicolor.verify._Sweep(G, H, None) for H in subgroups_of_index(G, 2)]
+    built = Counter()
+    plain = semicolor.verify.type1_partition
+
+    def counting(H, J, r):
+        built[H.members, J.members, frozenset(G.mul(j, r) for j in J.members)] += 1
+        return plain(H, J, r)
+
+    monkeypatch.setattr(semicolor.verify, "type1_partition", counting)
+    suite = Suite("one-orbit-oracle")
+    semicolor.verify._suite_type1(suite, G, sweeps)
+    assert suite.passed
+    pairs = [(s.H, J) for s in sweeps for J in s.tables.pool]
+    assert suite.checks == sum(len(H.complement()) for H, _ in pairs)
+    assert set(built.values()) == {1}
+    assert len(built) == sum(len(H.complement()) // J.order for H, J in pairs)
+
+
+def test_diagram_soundness_computes_one_diagram_per_conjugate(monkeypatch):
+    G = build_p4m_quotient(1)
+    conjugates = Counter()
+    plain = semicolor.verify.symmetry_diagram
+
+    def counting(J):
+        conjugates[J.members] += 1
+        return plain(J)
+
+    monkeypatch.setattr(semicolor.verify, "symmetry_diagram", counting)
+    suite = Suite("diagram-soundness")
+    semicolor.verify._suite_diagram(suite, G, exhaustive=False)
+    assert suite.passed
+    assert suite.checks == 96
+    assert conjugates and set(conjugates.values()) == {1}
