@@ -269,7 +269,11 @@ def cmd_render(args) -> int:
     except ValueError:
         raise InvalidParameterError(f"cannot parse cells {args.cells!r}") from None
     _emit(render_svg(tile_map, block_of, palette=args.palette, cells=cells), args.out)
-    print(f"wrote {args.out}: {spec.partition.num_blocks} colors, {spec.verdict()}")
+    colors, fills = spec.partition.num_blocks, len(PALETTES[args.palette])
+    print(f"wrote {args.out}: {colors} colors, {spec.verdict()}")
+    if colors > fills:
+        print(f"note: {colors} colors but palette {args.palette!r} has {fills} fills, "
+              f"so fills repeat modulo {fills}", file=sys.stderr)
     return 0
 
 

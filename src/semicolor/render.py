@@ -4,17 +4,23 @@ Output is byte-stable for fixed inputs: tiles are emitted in group-element
 order, coordinates use fixed-precision formatting, and palettes are frozen
 lookup tables.
 
-A render of many repeat blocks holds thousands of points but only a few
-dozen distinct x and y values, so each distinct coordinate is formatted
-once per call and every polygon and boundary line is written from those
-strings.  The lookup is keyed by float value, under which 0.0 and -0.0 are
-one key although they format differently; no drawn coordinate is -0.0,
-because each is a tile coordinate plus a shift i*period with i >= 0 and a
-positive period, and -0.0 + 0.0 == 0.0.
+Every drawn x is a tile x plus i times the x period (likewise for y), so
+each axis has few distinct values.  Each axis sorts them once per call and
+formats each once, and a point is a pair of indices into them.  Edges are
+matched on points rounded to 6 places: each value is rounded once and ranked
+among the distinct rounded values, a point's key is x rank * (number of y
+ranks) + y rank, and an edge's key is built the same way from its ends'
+keys, smaller first.  Ranks strictly increase with the rounded value, so the
+keys are equal, and sort, exactly as the rounded (x, y) tuples would.
+Values are keyed by float, under which 0.0 and -0.0 are one key although
+they format differently; no drawn coordinate is -0.0, because each is a tile
+coordinate plus a shift i*period with i >= 0 and a positive period, and
+-0.0 + 0.0 == 0.0.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Mapping
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -44,6 +50,7 @@ def _fmt(x: float) -> str:
 
 
 def palette_fill(palette: str, block: int) -> str:
+    """The fill of a block: fills repeat modulo the palette size."""
     table = PALETTES[palette]
     return table[block % len(table)]
 
@@ -69,36 +76,26 @@ def render_svg(
 
     if min(cells) < 1:
         raise InvalidParameterError(f"cells must be at least 1x1, got {cells[0]}x{cells[1]}")
-    shifts = [(0.0, 0.0)]
+    (m, n), (cx, cy) = (1, 1), (0.0, 0.0)
     if tile_map.cell is not None:
         if cells[0] * cells[1] > MAX_CELLS:
             raise ResourceLimitError(
                 f"{cells[0]}x{cells[1]} cells exceed the bound of {MAX_CELLS} repeat blocks"
             )
-        cx, cy = tile_map.cell
-        shifts = [(i * cx, j * cy) for i in range(cells[0]) for j in range(cells[1])]
+        (m, n), (cx, cy) = cells, tile_map.cell
     elif cells != (1, 1):
         raise InvalidParameterError("this pattern does not repeat; use cells=(1,1)")
 
-    labels_in_order = [tile_map.group.labels[g] for g in tile_map.group.elements]
-    polys = []
-    for sx, sy in shifts:
-        for lab in labels_in_order:
-            poly = tuple((x + sx, y + sy) for x, y in tile_map.domains[lab])
-            polys.append((lab, block_of[lab], poly))
+    labels = [tile_map.group.labels[g] for g in tile_map.group.elements]
+    polys = [tile_map.domains[lab] for lab in labels]
+    xs, x_rank, x_rows = _axis([x for poly in polys for x, _ in poly], m, cx)
+    ys, y_rank, y_rows = _axis([y for poly in polys for _, y in poly], n, cy)
+    ny = y_rank[-1] + 1
+    size = (x_rank[-1] + 1) * ny
 
-    # Each distinct coordinate is formatted once (see the module docstring).
-    # SVG y grows downward; flip so counterclockwise stays counterclockwise.
-    points = {p for _, _, poly in polys for p in poly}
-    xs = {x for x, _ in points}
-    ys = {y for _, y in points}
-    fx = {x: _fmt(SCALE * x) for x in xs}
-    fy = {y: _fmt(-SCALE * y) for y in ys}
-    text = {p: f"{fx[p[0]]},{fy[p[1]]}" for p in points}
-
-    margin = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    x0, y0 = min(xs) - margin, min(ys) - margin
-    x1, y1 = max(xs) + margin, max(ys) + margin
+    margin = 0.05 * max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
+    x0, y0 = xs[0] - margin, ys[0] - margin
+    x1, y1 = xs[-1] + margin, ys[-1] + margin
     view = (
         f"{_fmt(SCALE * x0)} {_fmt(-SCALE * y1)} "
         f"{_fmt(SCALE * (x1 - x0))} {_fmt(SCALE * (y1 - y0))}"
@@ -107,47 +104,65 @@ def render_svg(
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
     ]
-    for i, (lab, block, poly) in enumerate(polys):
-        fill = palette_fill(palette, block)
-        coords = " ".join(map(text.__getitem__, poly))
-        lines.append(
-            f'<polygon id="tile-{i}" data-label="{lab}" data-block="{block}" '
-            f'points="{coords}" fill="{fill}" stroke="none"/>'
-        )
-    for p, q in _boundary_segments(polys):
-        lines.append(
-            f'<line x1="{fx[p[0]]}" y1="{fy[p[1]]}" x2="{fx[q[0]]}" y2="{fy[q[1]]}" '
-            'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
-        )
+    spans, nxt = [], []  # each tile's slice of a row, each point's successor
+    for poly in polys:
+        a = len(nxt)
+        spans.append((a, a + len(poly)))
+        nxt += [*range(a + 1, a + len(poly)), a]
+    blocks = [block_of[lab] for lab in labels]
+    heads = [f'" data-label="{lab}" data-block="{b}" points="' for lab, b in zip(labels, blocks)]
+    tails = [f'" fill="{palette_fill(palette, b)}" stroke="none"/>' for b in blocks]
+    # SVG y grows downward; flip so counterclockwise stays counterclockwise.
+    fx, fy = [_fmt(SCALE * x) for x in xs], [_fmt(-SCALE * y) for y in ys]
+    x_text = [[fx[i] + "," for i in row] for row in x_rows]
+    x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
+    y_text = [[fy[i] for i in row] for row in y_rows]
+    y_key = [[y_rank[i] for i in row] for row in y_rows]
+    # Edge slots: the first block drawn, then 0 not seen again, 1 again with
+    # that block only, 2 with another; and the first-seen raw start (x row, y
+    # row, position, is it the larger end).  Edges seen once or with two
+    # blocks are drawn, in key order.
+    edges: dict[int, list] = {}
+    k = 0
+    for xr, xt, xk in zip(x_rows, x_text, x_key):
+        for yr, yt, yk in zip(y_rows, y_text, y_key):
+            for (a, b), block, head, tail in zip(spans, blocks, heads, tails):
+                coords = " ".join(map(add, xt[a:b], yt[a:b]))
+                lines.append(f'<polygon id="tile-{k}{head}{coords}{tail}')
+                k += 1
+                keys = list(map(add, xk[a:b], yk[a:b]))
+                for p, kp in enumerate(keys, a):
+                    kq = keys[p + 1 - b]
+                    key = kq * size + kp if kq < kp else kp * size + kq
+                    slot = edges.get(key)
+                    if slot is None:
+                        edges[key] = [block, 0, xr, yr, p, kq < kp]
+                    elif block != slot[0]:
+                        slot[1] = 2
+                    elif not slot[1]:
+                        slot[1] = 1
+    for key in sorted(edges):
+        _, seen, xr, yr, p, swapped = edges[key]
+        if seen != 1:
+            p, q = (nxt[p], p) if swapped else (p, nxt[p])
+            lines.append(
+                f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
+                'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
+            )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _boundary_segments(polys):
-    """Edges that separate different blocks or lie on the outer boundary.
+def _axis(values, count, period):
+    """One axis of a render, from every tile coordinate on it in drawing order.
 
-    An edge is keyed by its two end points rounded to 6 places, each
-    distinct point rounded once.  Its slot holds the first-seen end points,
-    the first block drawn on it and how it was seen since: 0 not again,
-    1 again with that block only, 2 again with another block.  Edges seen
-    once or with two blocks are kept, in key order.
+    Returns the distinct drawn values (a coordinate plus i*period for i in
+    range(count)) in order, the rank of each one's 6-place rounding, and per
+    shift i the coordinates as indices into the drawn values.
     """
-    rounded: dict[tuple, tuple] = {}
-    for _, _, poly in polys:
-        for p in poly:
-            if p not in rounded:
-                rounded[p] = (round(p[0], 6), round(p[1], 6))
-    edges: dict[tuple, list] = {}
-    for _, block, poly in polys:
-        for p, q in zip(poly, poly[1:] + poly[:1]):
-            kp, kq = rounded[p], rounded[q]
-            if kq < kp:
-                kp, kq, p, q = kq, kp, q, p
-            slot = edges.get((kp, kq))
-            if slot is None:
-                edges[kp, kq] = [(p, q), block, 0]
-            elif block != slot[1]:
-                slot[2] = 2
-            elif not slot[2]:
-                slot[2] = 1
-    return [slot[0] for _, slot in sorted(edges.items()) if slot[2] != 1]
+    shifted = [{v: v + i * period for v in set(values)} for i in range(count)]
+    drawn = sorted({v for row in shifted for v in row.values()})
+    index = {v: i for i, v in enumerate(drawn)}
+    rounded = [round(v, 6) for v in drawn]
+    rank = {r: i for i, r in enumerate(sorted(set(rounded)))}
+    return drawn, [rank[r] for r in rounded], [[index[row[v]] for v in values] for row in shifted]

@@ -5,7 +5,7 @@ import pytest
 import semicolor.cli
 from semicolor.census import ColoringSpec
 from semicolor.cli import main
-from semicolor.groups import subgroup_from_words
+from semicolor.groups import build_p4m_quotient, subgroup_from_words
 
 
 # Spec files that are valid JSON but not valid coloring specs.
@@ -249,6 +249,33 @@ class TestRenderCommand:
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "nope.json"), "--out", "x.svg"]) == 2
+
+    # A 12-color type-2 spec and a 16-color type-1 spec (J trivial) on the
+    # order-32 square quotient; 12 colors fit the default palette exactly.
+    @pytest.mark.parametrize(
+        "kind, palette, note",
+        [
+            ("type2", "default", ""),
+            ("type2", "quad", "12 colors but palette 'quad' has 4 fills, so fills repeat modulo 4"),
+            ("type1", "default",
+             "16 colors but palette 'default' has 12 fills, so fills repeat modulo 12"),
+        ],
+    )
+    def test_palette_too_small_notes_on_stderr(self, tmp_path, capsys, kind, palette, note):
+        g = build_p4m_quotient(2)
+        if kind == "type2":
+            H = subgroup_from_words(g, "b,a2b,x,y")
+            spec = ColoringSpec.type2(H, subgroup_from_words(g, "b"), subgroup_from_words(g, "a2,x"))
+        else:
+            H = subgroup_from_words(g, "a,b,xy")
+            spec = ColoringSpec.type1(H, subgroup_from_words(g, ""), g.element("ya"))
+        path, out = tmp_path / "spec.json", tmp_path / "out.svg"
+        path.write_text(json.dumps(spec.to_json()), encoding="utf-8")
+        assert main(["render", str(path), "--palette", palette, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        colors = spec.partition.num_blocks
+        assert captured.out == f"wrote {out}: {colors} colors, semiperfect\n"
+        assert captured.err == (f"note: {note}\n" if note else "")
 
     @pytest.mark.parametrize(
         "command",

@@ -3,7 +3,12 @@ import re
 
 import pytest
 
-from semicolor.census import ColoringSpec, GroupAutomorphism
+from semicolor.census import (
+    ColoringSpec,
+    GroupAutomorphism,
+    enumerate_all_semiperfect,
+    standard_color_groups,
+)
 from semicolor.errors import InvalidParameterError, UnsupportedPatternError
 from semicolor.groups import build_dihedral, build_p4m_quotient, subgroup_from_words
 from semicolor.render import PALETTES, SCALE, _fmt, palette_fill, render_svg
@@ -192,13 +197,13 @@ class TestRendererOracle:
     """The renderer against the per-point reference above, byte for byte."""
 
     @pytest.mark.parametrize("palette", sorted(PALETTES))
-    @pytest.mark.parametrize("pattern", ["hexagon", "p4m1", "p4m2", "p4m3"])
+    @pytest.mark.parametrize("pattern", ["hexagon", "p4m1", "p4m2", "p4m3", "p4m4"])
     def test_random_block_maps(self, d6, pattern, palette):
         if pattern == "hexagon":
             tm, all_cells = hexagon_tile_map(d6), [(1, 1)]
         else:
             tm = p4m_tile_map(build_p4m_quotient(int(pattern[-1])))
-            all_cells = [(1, 1), (2, 3), (3, 2), (1, 7)]
+            all_cells = [(2, 2)] if pattern == "p4m4" else [(1, 1), (2, 3), (3, 2), (1, 7)]
         rng = random.Random(f"{pattern}-{palette}")
         for cells in all_cells:
             for _ in range(3):
@@ -225,6 +230,41 @@ class TestRendererOracle:
             svg = render_svg(tm, block_of, "default", cells)
             assert svg == _reference_svg(tm, block_of, "default", cells)
             assert "-0.000000," not in svg
+
+    def test_gallery_census_specs(self):
+        # Every type-1 census spec of p4m_quotient:2 at 4x4, as the gallery
+        # benchmark draws them.
+        g = build_p4m_quotient(2)
+        tm = p4m_tile_map(g)
+        census = enumerate_all_semiperfect(
+            g, H_filter=standard_color_groups(g), kinds=("type1",)
+        )
+        assert len(census.entries) == 108
+        for entry in census.entries:
+            blocks = _spec_blocks(entry.spec)
+            assert render_svg(tm, blocks, "default", (4, 4)) == _reference_svg(
+                tm, blocks, "default", (4, 4)
+            )
+
+    @pytest.mark.parametrize("cells", [(3, 5), (7, 2), (10, 10)])
+    @pytest.mark.parametrize("cell", [(0.1, 0.7), (1 / 3, 0.2)])
+    def test_non_integer_periods(self, cell, cells):
+        # Shifted coordinates carry float noise (0.1 + 0.5 != 6 * 0.1) that
+        # the 6-place rounding must merge exactly as the reference does.
+        cx, cy = cell
+        domains = {
+            "e": ((0.0, 0.0), (cx, 0.0), (cx, cy)),
+            "b": ((0.0, 0.0), (cx, cy), (0.0, cy)),
+        }
+        tm = TileMap(pattern="test", group=build_dihedral(1), domains=domains, cell=cell)
+        if cells == (10, 10):
+            xs = {x + i * cx for x in (0.0, cx) for i in range(10)}
+            assert len(xs) > len({round(x, 6) for x in xs})
+        for blocks in [(0, 0), (0, 1)]:
+            block_of = dict(zip(("e", "b"), blocks))
+            assert render_svg(tm, block_of, "default", cells) == _reference_svg(
+                tm, block_of, "default", cells
+            )
 
 
 class TestTransfer:
