@@ -25,14 +25,14 @@ block is a sorted tuple:
   the key is the partition of the smaller of B and r^-1*B.
 
 The census builds no partition for either.  Per color group H it builds
-one ``ColorGroupTables``: one subgroup pool and the left coset
-representatives of each J in it.  ``enumerate_type1``, ``enumerate_type2``
-and ``type1_cells`` take those tables as their only argument, and the
-census, ``table1`` and ``verify`` all call them by these names.  The
-blocks h*base are then one sort per representative (``_translates``).  A
-type-2 key is ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the
-left cosets of J and ``outside[J]`` the H-translates of y0*J, both built
-once per J.  The ``equivalenceKey`` text of a key joins one stored string
+one ``ColorGroupTables``: one subgroup pool, the left coset representatives
+and core of each J in it, and the pool's conjugacy classes under G.
+``enumerate_type1``, ``enumerate_type2`` and ``type1_cells`` take those
+tables as their only argument, and the census, ``table1`` and ``verify``
+all call them by these names.  The blocks h*base are then one sort per
+representative (``_translates``).  A type-2 key is
+``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the left cosets of
+J and ``outside[J]`` the H-translates of y0*J, both built once per J.  The ``equivalenceKey`` text of a key joins one stored string
 per block.  ``table1`` numbers its cells by the same type-1 identity block
 (``_type1_base``), so it neither builds nor translates a partition.
 ``type1_partition`` and ``type2_partition`` are left to
@@ -230,8 +230,14 @@ class _BlockText(dict):
 class ColorGroupTables:
     """What every pipeline of one index-2 color group H reads, built once:
     its subgroup pool under the color cap, the left coset representatives
-    of each J in it, from which every block and core is built, and the text
-    of each block.  It is the only argument of each pipeline."""
+    of each J in it, from which every block is built, the ``Subgroup.mask``
+    of each core_H(J), the pool's conjugacy classes under G, and the text
+    of each block.  It is the only argument of each pipeline.
+
+    core_H(J) is the intersection of the conjugates t*J*t^-1 for t in H.  A
+    conjugate depends only on the left coset t*J, so one t per coset
+    suffices.
+    """
 
     def __init__(self, G: FiniteGroup, H: Subgroup, max_colors: int | None = None):
         if H.group is not G:
@@ -241,20 +247,21 @@ class ColorGroupTables:
         self.H = H
         self.max_colors = max_colors
         self.pool = subgroup_pool(H, max_colors)
-        self.reps = {J.members: left_coset_reps(H, J) for J in self.pool}
+        self.reps: dict[tuple[int, ...], list[int]] = {}
+        self.cores: dict[tuple[int, ...], int] = {}
+        for J in self.pool:
+            reps = self.reps[J.members] = left_coset_reps(H, J)
+            mask = J.mask
+            for t in reps:
+                mask &= J.conjugated_by(t).mask
+            self.cores[J.members] = mask
         self.text = _BlockText(G.labels)
 
-    def core(self, J: Subgroup) -> int:
-        """The ``Subgroup.mask`` of core_H(J), the intersection of the
-        conjugates t*J*t^-1 for t in H.
-
-        A conjugate depends only on the left coset t*J, so one t per coset
-        suffices.
-        """
-        mask = J.mask
-        for t in self.reps[J.members]:
-            mask &= J.conjugated_by(t).mask
-        return mask
+    @cached_property
+    def classes(self) -> list[list[Subgroup]]:
+        """The pool's conjugacy classes under all of G, as
+        ``conjugacy_classes_of_subgroups`` orders them."""
+        return conjugacy_classes_of_subgroups(self.pool, whole_group(self.H.group))
 
     def entry(
         self, spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int
@@ -292,7 +299,7 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
     All entries are semiperfect and pairwise inequivalent; the only other
     partition equivalent to the (J1, J2) entry is its (J2, J1) swap.
     """
-    H, cap, reps = tables.H, tables.max_colors, tables.reps
+    H, cap, reps, cores = tables.H, tables.max_colors, tables.reps, tables.cores
     group = H.group
     # Two colors at least, so a subgroup of index cap belongs to no pair.
     pool = sorted(
@@ -300,7 +307,6 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
         key=lambda s: (s.order, s.members),
     )
     y0 = smallest_outside(H)
-    cores = {J.members: tables.core(J) for J in pool}
     inside, outside, outside_core = [], [], []
     for J in pool:
         # h*y0*J = y0*J exactly when h lies in y0*J*y0^-1, which H contains
@@ -336,8 +342,6 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
     group = H.group
     # One entry per identity block of a key (see the module docstring).
     entries: dict[tuple[int, ...], CensusEntry] = {}
-    # l lies in H, so core_H(l*J*l^-1) = core_H(J): one core per class.
-    cores: dict[tuple[int, ...], int] = {}
     for J, l, r, verdict in type1_cells(tables):
         if verdict.perfect:
             continue
@@ -346,9 +350,8 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
             continue
         stabilizer = tuple(e for e in base if e in H)
         key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
-        if J.members not in cores:
-            cores[J.members] = tables.core(J)
-        entries[base] = tables.entry(ColoringSpec.type1(H, J, r, l), key, cores[J.members])
+        # l lies in H, so core_H(l*J*l^-1) = core_H(J).
+        entries[base] = tables.entry(ColoringSpec.type1(H, J, r, l), key, tables.cores[J.members])
     return sorted(entries.values(), key=lambda e: e.key)
 
 
@@ -373,7 +376,7 @@ def type1_cells(tables: ColorGroupTables) -> Iterable[tuple[Subgroup, int, int, 
     """
     H = tables.H
     G = H.group
-    for cls in conjugacy_classes_of_subgroups(tables.pool, whole_group(G)):
+    for cls in tables.classes:
         J = cls[0]
         nh = normalizer(H, J)
         L = left_coset_reps(H, nh)

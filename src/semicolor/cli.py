@@ -280,21 +280,24 @@ def cmd_render(args) -> int:
 def cmd_conjugate(args) -> int:
     spec = _load_spec(args.spec)
     group = spec.group
+    if bool(args.map) == bool(args.onto):
+        raise InvalidParameterError("give exactly one of --map and --onto")
     if args.map:
         images = {}
         for piece in args.map.split(","):
             name, _, word = piece.partition("=")
             if not word:
                 raise InvalidParameterError(f"cannot parse generator image {piece!r}")
-            images[name.strip()] = word.strip()
+            name = name.strip()
+            if name in images:
+                raise InvalidParameterError(f"--map names the generator {name!r} twice")
+            images[name] = word.strip()
         alpha = GroupAutomorphism.from_generator_images(group, images)
-    elif args.onto:
+    else:
         target = subgroup_from_words(group, args.onto)
         alpha = find_conjugating_automorphism(group, spec.H, target)
         if alpha is None:
             raise InvalidParameterError("no automorphism carries H onto the target subgroup")
-    else:
-        raise InvalidParameterError("provide either --map or --onto")
     moved = conjugate_spec(spec, alpha)
     payload = {
         "automorphism": alpha.generator_map(),

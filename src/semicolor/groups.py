@@ -280,6 +280,14 @@ class Subgroup:
         ti = g.inverse[t]
         return Subgroup(g, tuple(sorted(g.table[g.table[t][m]][ti] for m in self.members)))
 
+    def is_normalized_by(self, g: int) -> bool:
+        """Whether ``g * self * g^-1`` is ``self``.  Conjugation is injective,
+        so it is once no member's conjugate leaves ``self``; the walk stops
+        at the first member whose conjugate does."""
+        group = self.group
+        row, gi, mem = group.table[g], group.inverse[g], self.member_set
+        return all(group.table[row[m]][gi] in mem for m in self.members)
+
     def is_whole_group(self) -> bool:
         return len(self.members) == self.group.order
 
@@ -597,6 +605,8 @@ def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]
     For 2-power order this walks index-2 steps (every maximal subgroup of a
     p-group has index p); otherwise it filters the full lattice.
     """
+    if bound < 1:
+        raise InvalidParameterError("index bound must be a positive integer")
     n = universe.order
     if n & (n - 1) == 0:
         found = {universe.members: universe}
@@ -630,14 +640,7 @@ def subgroup_pool(universe: Subgroup, max_index: int | None) -> list[Subgroup]:
 def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
     """Elements of ``within`` whose conjugation fixes J setwise."""
     within._check_ambient(J)
-    group = J.group
-    jset = J.member_set
-    members = []
-    for w in within.members:
-        wi = group.inverse[w]
-        if all(group.table[group.table[w][j]][wi] in jset for j in J.members):
-            members.append(w)
-    return Subgroup(group, tuple(members))
+    return Subgroup(J.group, tuple(w for w in within.members if J.is_normalized_by(w)))
 
 
 def left_coset_reps(H: Subgroup, K: Subgroup) -> list[int]:
@@ -725,11 +728,10 @@ def perfect_coset_count(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:
     does, and then (j*r)^2 = j*(r*j*r^-1)*r^2 lies in J exactly when r^2
     does.  So one representative per coset is tested.
     """
-    jset = J.member_set
     return sum(
         1
         for r in right_coset_reps_outside(J, G, H)
-        if G.table[r][r] in jset and J.conjugated_by(r).members == J.members
+        if G.table[r][r] in J and J.is_normalized_by(r)
     )
 
 

@@ -287,15 +287,11 @@ def classify_type1(J: Subgroup, r: int, H: Subgroup) -> TypeOneVerdict:
     """Perfect iff r normalizes J and r^2 lies in J."""
     _require_index_two(H)
     _require_inside(J, H)
-    group = H.group
     if r in H:
         raise InvalidParameterError("r must lie outside H")
-    table = group.table
-    left = {table[r][j] for j in J.members}
-    right = {table[j][r] for j in J.members}
     return TypeOneVerdict(
-        rep_normalizes=left == right,
-        square_in_core=table[r][r] in J,
+        rep_normalizes=J.is_normalized_by(r),
+        square_in_core=H.group.table[r][r] in J,
     )
 
 

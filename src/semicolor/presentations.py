@@ -132,21 +132,10 @@ def _relator_holds(steps, images) -> bool:
     return acc == tuple(range(k))
 
 
-def _is_transitive(images: Sequence[tuple[int, ...]], k: int) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        p = stack.pop()
-        for perm in images:
-            for q in (perm[p], perm.index(p)):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-    return len(seen) == k
-
-
-def _canonical_table(images: Sequence[tuple[int, ...]], k: int) -> tuple:
-    """Renumber points by first visit from the marked point 0.
+def _canonical_table(images: Sequence[tuple[int, ...]], k: int) -> tuple | None:
+    """Renumber points by first visit from the marked point 0, walking the
+    generator images and their inverses; None when the walk misses a point,
+    that is when the action is not transitive.
 
     Assignments sharing the stabilizer of 0 agree after this renumbering,
     and conversely.
@@ -163,6 +152,8 @@ def _canonical_table(images: Sequence[tuple[int, ...]], k: int) -> tuple:
             if q not in pos:
                 pos[q] = len(order)
                 order.append(q)
+    if len(order) < k:
+        return None
     return tuple(tuple(pos[perm[order[i]]] for i in range(k)) for perm in images)
 
 
@@ -194,8 +185,7 @@ def low_index_subgroup_count(P: Presentation, k: int) -> int:
 
     def assign(i: int):
         if i == ngen:
-            if _is_transitive(images, k):
-                found.add(_canonical_table(images, k))
+            found.add(_canonical_table(images, k))
             return
         for perm in perms:
             images.append(perm)
@@ -204,4 +194,4 @@ def low_index_subgroup_count(P: Presentation, k: int) -> int:
             images.pop()
 
     assign(0)
-    return len(found)
+    return len(found - {None})

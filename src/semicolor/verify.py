@@ -7,10 +7,12 @@ any disagreement.  They back the ``verify`` CLI command.
 The sweep is built once per color group H: one ``ColorGroupTables`` (its
 pool is the lattice of H up to order 16, else the subgroups of index <= 4),
 and the census's own ``enumerate_type2`` and ``enumerate_type1`` on them.
-``coset-bookkeeping``, ``class-equation``, ``involution-bridge``,
-``one-orbit-oracle`` and ``two-orbit-oracle`` read the pool;
-``orbit-size-two`` and ``conjugate-transport`` read the entries;
-``census-counts`` reads both; ``grid-pairing`` walks their ``type1_cells``.
+``coset-bookkeeping`` checks the tables' coset representatives, from which
+every block is built; ``class-equation`` reads their conjugacy classes;
+``involution-bridge``, ``one-orbit-oracle`` and ``two-orbit-oracle`` read
+the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
+``census-counts`` reads the classes and the entries; ``grid-pairing`` walks
+their ``type1_cells``.
 Only ``census-determinism`` runs two whole enumerations of its own.
 Oracles run once per distinct input and are checked for every input that
 shares it: ``one-orbit-oracle`` builds one partition per right coset J*r,
@@ -42,8 +44,6 @@ from .geometry import SymmetryDiagram, lift_quotient_element, symmetry_diagram
 from .groups import (
     FiniteGroup,
     Subgroup,
-    conjugacy_classes_of_subgroups,
-    left_coset_reps,
     normalizer,
     perfect_coset_count,
     subgroup_generated,
@@ -178,7 +178,7 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         for K in sweep.tables.pool:
             regen = subgroup_generated(G, K.members)
             suite.check(regen.members == K.members, lambda: f"closure not idempotent for {K}")
-            reps = left_coset_reps(H, K)
+            reps = sweep.tables.reps[K.members]
             suite.check(
                 len(reps) * K.order == H.order,
                 lambda: f"coset count mismatch for {K} in {H}",
@@ -194,8 +194,7 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 def _suite_classes(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     full = whole_group(G)
     for sweep in sweeps:
-        H, subs = sweep.H, sweep.tables.pool
-        classes = conjugacy_classes_of_subgroups(subs, full)
+        H, subs, classes = sweep.H, sweep.tables.pool, sweep.tables.classes
         suite.check(
             sum(len(c) for c in classes) == len(subs),
             lambda: f"class sizes do not add up for H={H}",
@@ -314,7 +313,6 @@ def _suite_pairing(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 
 
 def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int | None):
-    full = whole_group(G)
     for sweep in sweeps:
         H = sweep.H
         if cap is None:
@@ -332,8 +330,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int |
             len(sweep.type2) == expected2,
             lambda: f"two-orbit census size mismatch for H={H}",
         )
-        classes = conjugacy_classes_of_subgroups(sweep.tables.pool, full)
-        total = sum(count_semiperfect_type1(G, H, cls[0]) for cls in classes)
+        total = sum(count_semiperfect_type1(G, H, cls[0]) for cls in sweep.tables.classes)
         suite.check(
             len(sweep.type1) == total,
             lambda: f"one-orbit census does not match the closed form for H={H}",
@@ -378,10 +375,8 @@ def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
             conj = diagram_of(J.conjugated_by(r))
             suite.check(moved == conj, lambda: f"diagram conjugation identity fails for {J}")
             if moved != D:
-                left = {G.mul(r, j) for j in J.members}
-                right = {G.mul(j, r) for j in J.members}
                 suite.check(
-                    left != right,
+                    not J.is_normalized_by(r),
                     lambda: f"diagram moved but {G.labels[r]} normalizes {J}",
                 )
 

@@ -25,6 +25,7 @@ from semicolor.errors import InvalidParameterError
 from semicolor.groups import (
     all_subgroups,
     conjugacy_class_reps_of_subgroups,
+    conjugacy_classes_of_subgroups,
     generating_words,
     group_from_descriptor,
     parse_group_arg,
@@ -283,6 +284,31 @@ def test_closed_form_classification_matches_color_action():
             assert entry.classification == oracle, (descriptor, entry.key_string())
             checked += 1
     assert checked == 5617
+
+
+def test_tables_hold_each_core_and_the_pool_classes():
+    # core_H(J) from one conjugate per left coset equals the intersection
+    # over every member of H; the classes are those of the whole group.
+    for descriptor, G, H in _color_group_sweep():
+        tables = ColorGroupTables(G, H)
+        assert set(tables.cores) == {J.members for J in tables.pool}
+        for J in tables.pool:
+            core = set(J.members)
+            for t in H.members:
+                core &= set(J.conjugated_by(t).members)
+            assert tables.cores[J.members] == sum(1 << g for g in core), (descriptor, J)
+        assert tables.classes == conjugacy_classes_of_subgroups(tables.pool, whole_group(G))
+
+
+@pytest.mark.parametrize(
+    "descriptor, words", [("p4m_quotient:2", "a,ab,xy,Xy"), ("dihedral:6", "a2,b")]
+)
+def test_tables_reject_a_color_cap_below_one(descriptor, words):
+    # Both pool paths reject it: the index-2 descent (a color group of order
+    # 16) and the lattice filter (order 6).
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    with pytest.raises(InvalidParameterError, match="index bound"):
+        ColorGroupTables(G, subgroup_from_words(G, words), 0)
 
 
 def test_type2_keys_match_equivalence_key():

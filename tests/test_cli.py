@@ -363,5 +363,21 @@ class TestConjugateCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ["--map", "a=a5,b=ab,a=a"],
+            ["--map", "a=a,b=b,a=a"],
+            ["--map", "a=a5,b=ab", "--onto", "a2,ab"],
+        ],
+        ids=["generator-twice", "same-image-twice", "map-and-onto"],
+    )
+    def test_ambiguous_automorphism_exits_two(self, capsys, four_color_spec_file, options):
+        # Neither a later image nor one of two ways to choose the map wins.
+        assert main(["conjugate", str(four_color_spec_file), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_requires_map_or_target(self, capsys, four_color_spec_file):
         assert main(["conjugate", str(four_color_spec_file)]) == 2

@@ -26,6 +26,7 @@ from semicolor.groups import (
     all_subgroups,
     Subgroup,
 )
+from semicolor.partitions import classify_type1
 
 
 def brute_force_subgroups(group):
@@ -298,6 +299,24 @@ class TestSubgroupMachinery:
         assert len(subgroups_of_index(g4, 2)) == 7
 
 
+class TestIndexBoundedPools:
+    # <a,ab,xy,Xy> has order 16 and takes the index-2 descent; <a^2,b> has
+    # order 6 and takes the lattice filter.  Both paths agree on every bound.
+    POOLS = [("p4m_quotient:2", "a,ab,xy,Xy"), ("dihedral:6", "a2,b")]
+
+    @pytest.mark.parametrize("descriptor, words", POOLS)
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, descriptor, words, bound):
+        U = subgroup_from_words(group_from_descriptor(parse_group_arg(descriptor)), words)
+        with pytest.raises(InvalidParameterError, match="index bound"):
+            subgroups_of_index_at_most(U, bound)
+
+    @pytest.mark.parametrize("descriptor, words", POOLS)
+    def test_bound_one_is_the_universe(self, descriptor, words):
+        U = subgroup_from_words(group_from_descriptor(parse_group_arg(descriptor)), words)
+        assert subgroups_of_index_at_most(U, 1) == [U]
+
+
 class TestCosetsAndNormalizers:
     def test_normalizer_inside_group_and_subgroup(self, d6, hexH):
         Jb = subgroup_from_words(d6, "b")
@@ -421,6 +440,37 @@ def test_generating_words_matches_exhaustive_search():
     for sub in subs:
         assert generating_words(sub) == exhaustive_generating_words(sub), sub.members
     assert len(subs) == 551
+
+
+def set_based_normalizes(J, g):
+    """Reference test: g normalizes J exactly when the sets g*J and J*g are
+    equal.  ``Subgroup.is_normalized_by`` replaced it in the library."""
+    G = J.group
+    return {G.mul(g, j) for j in J.members} == {G.mul(j, g) for j in J.members}
+
+
+@pytest.mark.parametrize(
+    "descriptor", [f"dihedral:{n}" for n in range(1, 13)] + ["p4m_quotient:1", "p4m_quotient:2"]
+)
+def test_every_normalizing_test_agrees_with_the_set_based_one(descriptor):
+    # is_normalized_by is the one normalizing test; normalizer,
+    # classify_type1 and perfect_coset_count all read it.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    full = whole_group(G)
+    for J in all_subgroups(G):
+        members = normalizer(full, J).member_set
+        for g in G.elements:
+            expected = set_based_normalizes(J, g)
+            assert J.is_normalized_by(g) == expected == (g in members), (J, g)
+    for H in subgroups_of_index(G, 2):
+        for J in all_subgroups(H):
+            perfect_cosets = set()
+            for r in H.complement():
+                expected = set_based_normalizes(J, r)
+                assert classify_type1(J, r, H).rep_normalizes == expected, (H, J, r)
+                if expected and G.mul(r, r) in J:
+                    perfect_cosets.add(frozenset(G.mul(j, r) for j in J.members))
+            assert perfect_coset_count(G, H, J) == len(perfect_cosets), (H, J)
 
 
 class TestPerfectCosetCount:

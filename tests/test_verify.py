@@ -1,5 +1,6 @@
 from collections import Counter
 
+import semicolor.census
 import semicolor.verify
 from semicolor.groups import Subgroup, build_dihedral, build_p4m_quotient, subgroups_of_index
 from semicolor.verify import Suite, run_verification
@@ -45,6 +46,24 @@ def test_each_color_group_builds_its_tables_once(monkeypatch):
     color_groups = [H.members for H in subgroups_of_index(G, 2)]
     assert len(color_groups) == 3
     assert built == Counter({H: 1 for H in color_groups})
+
+
+def test_each_color_group_computes_its_conjugacy_classes_once(monkeypatch):
+    # The classes are held by ColorGroupTables: type1_cells (walked by
+    # enumerate_type1 and grid-pairing), class-equation and census-counts
+    # all read the one computed by the sweep.  census-determinism builds
+    # tables of its own for each of its two enumerations.
+    G = build_dihedral(8)
+    computed = Counter()
+    plain = semicolor.census.conjugacy_classes_of_subgroups
+
+    def counting(subgroups, conjugators):
+        computed[max(subgroups, key=lambda s: s.order).members] += 1
+        return plain(subgroups, conjugators)
+
+    monkeypatch.setattr(semicolor.census, "conjugacy_classes_of_subgroups", counting)
+    assert run_verification(G).passed
+    assert computed == Counter({H.members: 1 + 2 for H in subgroups_of_index(G, 2)})
 
 
 def test_one_orbit_oracle_builds_one_partition_per_right_coset(monkeypatch):
