@@ -53,6 +53,7 @@ from .partitions import (
     Classification,
     ColorAction,
     GroupPartition,
+    OrbitTable,
     classify_type1,
     classify_type2,
     classify_type2_with_reps,
@@ -62,7 +63,9 @@ from .partitions import (
     equivalent,
     general_partition,
     normalize_type1,
+    orbit_table,
     partition_stabilizer,
+    stabilized_by_whole_group,
     type1_partition,
     type2_partition,
 )

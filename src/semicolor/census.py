@@ -26,7 +26,8 @@ block is a sorted tuple:
 
 The census builds no partition for either.  Per color group H it builds
 one ``ColorGroupTables``: one subgroup pool, the left coset representatives
-and core of each J in it, and the pool's conjugacy classes under G.
+and core of each J in it, the pool's conjugacy classes under G, and the
+normalizers in H and in G of each class representative.
 ``enumerate_type1``, ``enumerate_type2`` and ``type1_cells`` take those
 tables as their only argument, and the census, ``table1`` and ``verify``
 all call them by these names.  The blocks h*base are then one sort per
@@ -48,9 +49,9 @@ subgroup of K normal in H and y0 the smallest element outside H:
 * type 2: [H:J1] + [H:J2] colors in two orbits, kernel the intersection
   of core_H(J1) and core_H(y0*J2*y0^-1).
 
-``color_action`` and ``partition_stabilizer``, which permute blocks, are
-the oracles that ``verify`` and the tests hold these closed forms against;
-the census never calls them.
+``color_action``, ``orbit_table`` and ``partition_stabilizer``, which
+translate blocks, are the oracles that ``verify`` and the tests hold these
+closed forms against; the census never calls them.
 
 ``Census.serialize`` writes the census JSON byte-identical to
 ``json.dumps(census.to_json(), indent=2, sort_keys=True)``, whose indenting
@@ -231,8 +232,9 @@ class ColorGroupTables:
     """What every pipeline of one index-2 color group H reads, built once:
     its subgroup pool under the color cap, the left coset representatives
     of each J in it, from which every block is built, the ``Subgroup.mask``
-    of each core_H(J), the pool's conjugacy classes under G, and the text
-    of each block.  It is the only argument of each pipeline.
+    of each core_H(J), the pool's conjugacy classes under G, N_H(J) and
+    N_G(J) of each class representative J, and the text of each block.  It
+    is the only argument of each pipeline.
 
     core_H(J) is the intersection of the conjugates t*J*t^-1 for t in H.  A
     conjugate depends only on the left coset t*J, so one t per coset
@@ -262,6 +264,23 @@ class ColorGroupTables:
         """The pool's conjugacy classes under all of G, as
         ``conjugacy_classes_of_subgroups`` orders them."""
         return conjugacy_classes_of_subgroups(self.pool, whole_group(self.H.group))
+
+    @cached_property
+    def h_normalizers(self) -> dict[tuple[int, ...], Subgroup]:
+        """N_H(J) for each class representative J, keyed by its members."""
+        return {cls[0].members: normalizer(self.H, cls[0]) for cls in self.classes}
+
+    @cached_property
+    def g_normalizers(self) -> dict[tuple[int, ...], Subgroup]:
+        """N_G(J) for each class representative J, keyed by its members."""
+        full = whole_group(self.H.group)
+        return {cls[0].members: normalizer(full, cls[0]) for cls in self.classes}
+
+    def count_semiperfect_type1(self, J: Subgroup) -> int:
+        """``count_semiperfect_type1`` of a class representative J, read
+        from the held normalizers."""
+        members = J.members
+        return _count_type1(self.H, J, self.h_normalizers[members], self.g_normalizers[members])
 
     def entry(
         self, spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int
@@ -378,8 +397,7 @@ def type1_cells(tables: ColorGroupTables) -> Iterable[tuple[Subgroup, int, int, 
     G = H.group
     for cls in tables.classes:
         J = cls[0]
-        nh = normalizer(H, J)
-        L = left_coset_reps(H, nh)
+        L = left_coset_reps(H, tables.h_normalizers[J.members])
         R = right_coset_reps_outside(J, G, H)
         for l in L:
             Jl = J.conjugated_by(l)
@@ -395,13 +413,16 @@ def count_semiperfect_type1(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:
     With no normalizing element outside H the whole grid survives; otherwise
     the semiperfect cells pair up and the count halves.
     """
-    nh = normalizer(H, J)
-    ng = normalizer(whole_group(G), J)
+    return _count_type1(H, J, normalizer(H, J), normalizer(whole_group(G), J))
+
+
+def _count_type1(H: Subgroup, J: Subgroup, nh: Subgroup, ng: Subgroup) -> int:
+    """The count of ``count_semiperfect_type1`` from N_H(J) and N_G(J)."""
     cosets_l = H.order // nh.order
     cosets_r = H.order // J.order
     if ng.order == nh.order:
         return cosets_l * cosets_r
-    return cosets_l * (cosets_r - perfect_coset_count(G, H, J)) // 2
+    return cosets_l * (cosets_r - perfect_coset_count(H.group, H, J)) // 2
 
 
 @dataclass

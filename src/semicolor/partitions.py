@@ -15,9 +15,14 @@ cases:
   (two orbits of colors).
 
 Fast classifiers decide perfect versus semiperfect from (J, r) or (J1, J2)
-alone; ``partition_stabilizer`` is the brute-force oracle they are tested
-against.  ``equivalence_class`` and ``equivalent`` are brute force too: they
-compare every translate gP by its canonical array of block labels.
+alone; ``partition_stabilizer`` and ``stabilized_by_whole_group`` are the
+brute-force oracles they are tested against.  Every oracle rests on one
+early-exit test, ``GroupPartition._block_image(g, Q)``: does g map each block
+of P into one block of Q?  With Q = P it decides whether g stabilizes P.
+``orbit_table`` runs it for every g against each translate found so far, and
+a match proves gP = Q, because gP and Q have equally many blocks; the table
+gives ``equivalence_class``, ``equivalent`` and the stabilizer of every
+translate without building a translate per g.
 """
 
 from __future__ import annotations
@@ -75,29 +80,19 @@ class GroupPartition:
             self.group, tuple(sorted([tuple(sorted([row[e] for e in b])) for b in self.blocks]))
         )
 
-    def _translated_labels(self, g: int) -> tuple[int, ...]:
-        """The block labels of gP in canonical form, ``x -> block of x``.
+    def _block_image(self, g: int, onto: "GroupPartition | None" = None) -> list[int] | None:
+        """Where left translation by g sends each block index of this
+        partition among the blocks of ``onto`` (default: this partition), or
+        None as soon as some block is split.
 
-        The block of x in gP is g times the block of g^-1*x in P; numbering
-        the labels in order of first appearance gives the blocks their
-        canonical order, as in ``block_of``.  So ``_translated_labels(g) ==
-        Q.block_of`` exactly when gP == Q.
-        """
-        bid = self.block_of
-        row = self.group.table[self.group.inverse[g]]
-        rank: dict[int, int] = {}
-        return tuple([rank.setdefault(bid[x], len(rank)) for x in row])
-
-    def _block_image(self, g: int) -> list[int] | None:
-        """Where left translation by g sends each block index, or None
-        when it splits some block.
-
-        Each block must land inside the block of its first member's image;
-        the images of all blocks then cover the group, so they permute the
-        blocks.
+        Each block must land inside the block of ``onto`` that holds its
+        first member's image.  When both partitions have equally many
+        blocks, a full image proves g*P == onto: the translated blocks are
+        then each inside one block of ``onto`` and cover the group, so they
+        are its blocks.
         """
         row = self.group.table[g]
-        bid = self.block_of
+        bid = (self if onto is None else onto).block_of
         image = []
         for block in self.blocks:
             dst = bid[row[block[0]]]
@@ -240,28 +235,66 @@ def partition_stabilizer(G: FiniteGroup, P: GroupPartition) -> Subgroup:
     return Subgroup(G, tuple(g for g in G.elements if P.is_stabilized_by(g)))
 
 
-def equivalence_class(P: GroupPartition, G: FiniteGroup) -> list[GroupPartition]:
-    """All distinct translates gP, in canonical order.
-
-    Every g is tried; translates are compared by their canonical label
-    arrays, and one partition is built per distinct translate.
-    """
+def stabilized_by_whole_group(G: FiniteGroup, P: GroupPartition) -> bool:
+    """Whether every g in G stabilizes P, i.e. P is perfect; the scan
+    stops at the first g that splits a block."""
     _require_partition_of(G, P)
-    first: dict[tuple[int, ...], int] = {}
+    return all(P.is_stabilized_by(g) for g in G.elements)
+
+
+@dataclass(frozen=True)
+class OrbitTable:
+    """The G-orbit of a partition P, found by testing every g once.
+
+    ``translates`` lists the distinct gP in order of first appearance,
+    ``first[i]`` is the smallest g with gP = ``translates[i]``, and
+    ``index[g]`` is the position of gP in ``translates``.
+    """
+
+    translates: tuple[GroupPartition, ...]
+    first: tuple[int, ...]
+    index: tuple[int, ...]
+
+    def stabilizer(self, i: int) -> Subgroup:
+        """The stabilizer of ``translates[i]`` = hP, h = ``first[i]``: every
+        g with ghP = hP, that is ``index[g*h] == i``."""
+        group = self.translates[i].group
+        h = self.first[i]
+        index = self.index
+        return Subgroup(group, tuple(g for g in group.elements if index[group.table[g][h]] == i))
+
+
+def orbit_table(P: GroupPartition, G: FiniteGroup) -> OrbitTable:
+    """The ``OrbitTable`` of P: every g is tested against the translates
+    found so far, and starts a new one when it matches none."""
+    _require_partition_of(G, P)
+    translates: list[GroupPartition] = []
+    first: list[int] = []
+    index: list[int] = []
     for g in G.elements:
-        first.setdefault(P._translated_labels(g), g)
-    return sorted((P.translated(g) for g in first.values()), key=lambda q: q.blocks)
+        for i, Q in enumerate(translates):
+            if P._block_image(g, Q) is not None:
+                break
+        else:
+            i = len(translates)
+            translates.append(P.translated(g))
+            first.append(g)
+        index.append(i)
+    return OrbitTable(tuple(translates), tuple(first), tuple(index))
+
+
+def equivalence_class(P: GroupPartition, G: FiniteGroup) -> list[GroupPartition]:
+    """All distinct translates gP, in canonical order."""
+    return sorted(orbit_table(P, G).translates, key=lambda q: q.blocks)
 
 
 def equivalent(P: GroupPartition, Q: GroupPartition, G: FiniteGroup) -> int | None:
     """Some g with gP = Q, or None; smallest witness wins."""
     _require_partition_of(G, P)
     _require_partition_of(G, Q)
-    target = Q.block_of
-    for g in G.elements:
-        if P._translated_labels(g) == target:
-            return g
-    return None
+    if P.num_blocks != Q.num_blocks:
+        return None
+    return next((g for g in G.elements if P._block_image(g, Q) is not None), None)
 
 
 # -- fast classifiers ----------------------------------------------------------

@@ -8,15 +8,24 @@ The sweep is built once per color group H: one ``ColorGroupTables`` (its
 pool is the lattice of H up to order 16, else the subgroups of index <= 4),
 and the census's own ``enumerate_type2`` and ``enumerate_type1`` on them.
 ``coset-bookkeeping`` checks the tables' coset representatives, from which
-every block is built; ``class-equation`` reads their conjugacy classes;
+every block is built; ``class-equation`` reads their conjugacy classes and
+the G-normalizer of each class representative;
 ``involution-bridge``, ``one-orbit-oracle`` and ``two-orbit-oracle`` read
 the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
-``census-counts`` reads the classes and the entries; ``grid-pairing`` walks
-their ``type1_cells``.
+``census-counts`` reads the classes, their normalizers and the entries;
+``grid-pairing`` walks their ``type1_cells`` and reads the normalizers.
 Only ``census-determinism`` runs two whole enumerations of its own.
 Oracles run once per distinct input and are checked for every input that
 shares it: ``one-orbit-oracle`` builds one partition per right coset J*r,
 ``diagram-soundness`` one diagram per distinct conjugate of J.
+
+Each brute-force question tests every g in G once and stops when the
+answer is known.  ``orbit-size-two`` builds one ``orbit_table`` per entry,
+which names the translate gP for every g, and reads both the orbit and the
+stabilizer of each translate from it.  The perfect verdicts of
+``one-orbit-oracle`` and ``two-orbit-oracle`` come from
+``stabilized_by_whole_group``, which stops at the first g that splits a
+block.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from .census import (
     enumerate_all_semiperfect,
     enumerate_type1,
     enumerate_type2,
-    count_semiperfect_type1,
     find_conjugating_automorphism,
     conjugate_spec,
     action_equivalence_check,
@@ -44,7 +52,6 @@ from .geometry import SymmetryDiagram, lift_quotient_element, symmetry_diagram
 from .groups import (
     FiniteGroup,
     Subgroup,
-    normalizer,
     perfect_coset_count,
     subgroup_generated,
     subgroup_pool,
@@ -58,9 +65,9 @@ from .partitions import (
     classify_type1,
     classify_type2,
     color_action,
-    equivalence_class,
     equivalence_key,
-    partition_stabilizer,
+    orbit_table,
+    stabilized_by_whole_group,
     type1_partition,
     type2_partition,
 )
@@ -192,7 +199,6 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 
 
 def _suite_classes(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
-    full = whole_group(G)
     for sweep in sweeps:
         H, subs, classes = sweep.H, sweep.tables.pool, sweep.tables.classes
         suite.check(
@@ -201,7 +207,7 @@ def _suite_classes(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         )
         for cls in classes:
             rep = cls[0]
-            ng = normalizer(full, rep)
+            ng = sweep.tables.g_normalizers[rep.members]
             suite.check(
                 len(cls) * ng.order == G.order,
                 lambda: f"orbit-stabilizer mismatch for {rep}",
@@ -242,7 +248,7 @@ def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
                 coset = min(table[j][r] for j in J.members)
                 if coset not in perfect_by_coset:
                     P = type1_partition(H, J, r)
-                    perfect_by_coset[coset] = partition_stabilizer(G, P).is_whole_group()
+                    perfect_by_coset[coset] = stabilized_by_whole_group(G, P)
                 fast = classify_type1(J, r, H).perfect
                 suite.check(
                     fast == perfect_by_coset[coset],
@@ -255,7 +261,7 @@ def _suite_type2(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         H = sweep.H
         for J1, J2 in combinations_with_replacement(sweep.tables.pool, 2):
             fast = classify_type2(J1, J2, H) == PERFECT
-            oracle = partition_stabilizer(G, type2_partition(H, J1, J2)).is_whole_group()
+            oracle = stabilized_by_whole_group(G, type2_partition(H, J1, J2))
             suite.check(
                 fast == oracle,
                 lambda: f"two-orbit verdict mismatch J1={J1} J2={J2} H={H}",
@@ -266,7 +272,8 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
         for entry in sweep.type2 + sweep.type1:
-            orbit = equivalence_class(entry.spec.partition, G)
+            table = orbit_table(entry.spec.partition, G)
+            orbit = sorted(table.translates, key=lambda P: P.blocks)
             suite.check(
                 len(orbit) == 2
                 and entry.key == orbit[0].blocks
@@ -274,7 +281,7 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
                 lambda: f"orbit size != 2, or key or its text is not the orbit minimum "
                 f"for {entry.key_string()}",
             )
-            stabs = {partition_stabilizer(G, P).members for P in orbit}
+            stabs = {table.stabilizer(i).members for i in range(len(orbit))}
             suite.check(
                 len(stabs) == 1, lambda: f"orbit stabilizers differ for {entry.key_string()}"
             )
@@ -291,11 +298,10 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 
 
 def _suite_pairing(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
-    full = whole_group(G)
     for sweep in sweeps:
-        H = sweep.H
+        H, tables = sweep.H, sweep.tables
         per_class: dict[tuple, dict] = {}
-        for bJ, l, r, verdict in type1_cells(sweep.tables):
+        for bJ, l, r, verdict in type1_cells(tables):
             if verdict.perfect:
                 continue
             P = type1_partition(H, bJ.conjugated_by(l), r)
@@ -304,7 +310,7 @@ def _suite_pairing(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
             ).append((l, r))
         for members, keys in per_class.items():
             J = Subgroup(G, members)
-            split = normalizer(full, J).order == normalizer(H, J).order
+            split = tables.g_normalizers[members].order == tables.h_normalizers[members].order
             want = 1 if split else 2
             suite.check(
                 all(len(v) == want for v in keys.values()),
@@ -330,7 +336,7 @@ def _suite_counts(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep], cap: int |
             len(sweep.type2) == expected2,
             lambda: f"two-orbit census size mismatch for H={H}",
         )
-        total = sum(count_semiperfect_type1(G, H, cls[0]) for cls in sweep.tables.classes)
+        total = sum(sweep.tables.count_semiperfect_type1(cls[0]) for cls in sweep.tables.classes)
         suite.check(
             len(sweep.type1) == total,
             lambda: f"one-orbit census does not match the closed form for H={H}",

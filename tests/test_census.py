@@ -300,6 +300,22 @@ def test_tables_hold_each_core_and_the_pool_classes():
         assert tables.classes == conjugacy_classes_of_subgroups(tables.pool, whole_group(G))
 
 
+def test_tables_hold_normalizers_of_class_representatives():
+    # Held once per class representative, computed by normalizer itself;
+    # the tables' count reads them and agrees with the free function.
+    for descriptor, G, H in _color_group_sweep():
+        tables = ColorGroupTables(G, H)
+        reps = [cls[0] for cls in tables.classes]
+        keys = {J.members for J in reps}
+        assert set(tables.h_normalizers) == set(tables.g_normalizers) == keys
+        for J in reps:
+            nh = {h for h in H.members if J.is_normalized_by(h)}
+            ng = {g for g in G.elements if J.is_normalized_by(g)}
+            assert set(tables.h_normalizers[J.members].members) == nh, (descriptor, J)
+            assert set(tables.g_normalizers[J.members].members) == ng, (descriptor, J)
+            assert tables.count_semiperfect_type1(J) == count_semiperfect_type1(G, H, J)
+
+
 @pytest.mark.parametrize(
     "descriptor, words", [("p4m_quotient:2", "a,ab,xy,Xy"), ("dihedral:6", "a2,b")]
 )

@@ -135,6 +135,10 @@ def test_conjugate_map_table(tmp_path, capsys):
     [
         ("dihedral:8", "61baec64193fed0e41e486cd81e1ae6dfe6eaad59775ee3a1446a610494faccd"),
         ("p4m_quotient:1", "5d216db2d5e81566cb4d51930086e3c4fb3e22ca7c3d598b668641457c974997"),
+        # The dihedral groups of the benchmark's verify workload.
+        ("dihedral:12", "89ce27eb339132fbeaf15118697ba95869a86e3fe30495878a7e93d9d833417a"),
+        ("dihedral:16", "578b34427cbcd104b6ace194f9146ae213dc46a7a4eee8c61e7fda0fb1a22b9c"),
+        ("dihedral:20", "97717a2c1137b460e8bc0af7d4993505af0c8395441d6abf302d676019b21151"),
     ],
 )
 def test_verify_report(capsys, group, digest):

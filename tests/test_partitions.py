@@ -28,8 +28,10 @@ from semicolor.partitions import (
     equivalent,
     general_partition,
     normalize_type1,
+    orbit_table,
     partition_stabilizer,
     smallest_outside,
+    stabilized_by_whole_group,
     type1_partition,
     type2_partition,
 )
@@ -493,8 +495,19 @@ def assert_oracles_match_reference(G, P):
     assert [Q.blocks for Q in orbit] == list(first)
     for Q in orbit:
         assert equivalent(P, Q, G) == first[Q.blocks]
+    # The orbit table: every g names the translate equal to gP, each
+    # translate's first g is the smallest one, and the stabilizer read from
+    # the table is that of the translate itself.
+    table = orbit_table(P, G)
+    assert len(table.translates) == len(table.first) == len(first)
+    for g in G.elements:
+        assert table.translates[table.index[g]].blocks == reference_translated(P, g)
+    for i, Q in enumerate(table.translates):
+        assert table.first[i] == first[Q.blocks]
+        assert table.stabilizer(i).members == reference_partition_stabilizer(G, Q)
     stabilizer = reference_partition_stabilizer(G, P)
     assert partition_stabilizer(G, P).members == stabilizer
+    assert stabilized_by_whole_group(G, P) == partition_stabilizer(G, P).is_whole_group()
     for g in stabilizer:
         assert P.permutation_induced_by(g) == tuple(reference_block_image(P, g))
     splitting = next((g for g in G.elements if g not in stabilizer), None)
@@ -552,3 +565,24 @@ def test_oracles_match_reference_on_unequal_blocks():
                 )
                 assert len({len(b) for b in P.blocks}) == 2
                 assert_oracles_match_reference(G, P)
+
+
+def test_oracles_match_reference_on_perfect_partitions():
+    # The census holds no perfect partition: these are the ones whose
+    # whole-group verdict is True, with an orbit of one translate.
+    for G in (build_dihedral(6), build_dihedral(8), build_p4m_quotient(1)):
+        perfect = 0
+        for H in subgroups_of_index(G, 2):
+            for J in all_subgroups(H):
+                candidates = [type2_partition(H, J, J)]
+                candidates += [
+                    type1_partition(H, J, r)
+                    for r in H.complement()
+                    if classify_type1(J, r, H).perfect
+                ]
+                for P in candidates:
+                    assert stabilized_by_whole_group(G, P)
+                    assert len(orbit_table(P, G).translates) == 1
+                    assert_oracles_match_reference(G, P)
+                    perfect += 1
+        assert perfect > len(subgroups_of_index(G, 2))

@@ -66,6 +66,29 @@ def test_each_color_group_computes_its_conjugacy_classes_once(monkeypatch):
     assert computed == Counter({H.members: 1 + 2 for H in subgroups_of_index(G, 2)})
 
 
+def test_normalizers_computed_once_per_class_representative(monkeypatch):
+    # The sweep's tables hold N_H(J) and N_G(J) of each class
+    # representative for type1_cells (twice), class-equation, grid-pairing
+    # and census-counts; census-determinism's two enumerations compute
+    # N_H(J) on tables of their own.
+    G = build_dihedral(8)
+    reps = Counter()
+    for H in subgroups_of_index(G, 2):
+        for cls in semicolor.census.ColorGroupTables(G, H).classes:
+            reps[H.members, cls[0].members] += 3
+            reps[tuple(G.elements), cls[0].members] += 1
+    computed = Counter()
+    plain = semicolor.census.normalizer
+
+    def counting(within, J):
+        computed[within.members, J.members] += 1
+        return plain(within, J)
+
+    monkeypatch.setattr(semicolor.census, "normalizer", counting)
+    assert run_verification(G).passed
+    assert computed == reps
+
+
 def test_one_orbit_oracle_builds_one_partition_per_right_coset(monkeypatch):
     # type1_partition(H, J, r) depends only on J*r: the suite builds one
     # partition per distinct (J, J*r) and still checks every (J, r).
