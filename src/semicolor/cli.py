@@ -38,8 +38,15 @@ from .verify import run_verification
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (default ``sys.argv[1:]``); return its exit code.
+
+    Only the invoked subcommand's arguments are declared: those of the first
+    token that names a subcommand.  Every subcommand is still registered with
+    its help, so ``semicolor -h`` and "invalid choice" errors are unchanged.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    invoked = next((token for token in argv if token in _COMMANDS), None)
+    args = _build_parser({invoked}).parse_args(argv)
     try:
         return args.func(args)
     except SemicolorError as exc:
@@ -47,22 +54,30 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(declared) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of those ``declared``."""
     parser = argparse.ArgumentParser(
         prog="semicolor",
         description="Enumerate, classify and render semiperfect colorings of "
         "symmetric patterns via partitions of their symmetry groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, declare, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=run)
+        if name in declared:
+            declare(p)
+    return parser
 
-    p = sub.add_parser("subgroups", help="list subgroups of a group or of a subgroup")
+
+def _subgroups_args(p):
     p.add_argument("--group", required=True, help="group descriptor, e.g. dihedral:6")
     p.add_argument("--of", help="restrict to subgroups of this subgroup, e.g. a2,b")
     p.add_argument("--index", type=int, help="only subgroups of this index")
     p.add_argument("--out", help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_subgroups)
 
-    p = sub.add_parser("enumerate", help="census of inequivalent semiperfect colorings")
+
+def _enumerate_args(p):
     p.add_argument("--group", required=True)
     p.add_argument(
         "--H",
@@ -75,21 +90,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-colors", type=int)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write the census here")
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser(
-        "table1",
-        help="the 18-row reference grid of one-orbit colorings of the hexagonal pattern",
-    )
+
+def _table1_args(p):
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_table1)
 
-    p = sub.add_parser("verify", help="run the oracle-versus-classifier suites")
+
+def _verify_args(p):
     p.add_argument("--group", required=True)
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("render", help="render a coloring spec file to SVG")
+
+def _render_args(p):
     p.add_argument("spec", help="coloring spec JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--palette", default="default", help=f"one of {sorted(PALETTES)}")
@@ -98,19 +110,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default="1x1",
         help=f"repeat blocks for p4m, e.g. 2x2; at most {MAX_CELLS} blocks in all (exit 3)",
     )
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser(
-        "conjugate", help="transport a coloring spec along a group automorphism"
-    )
+
+def _conjugate_args(p):
     p.add_argument("spec", help="coloring spec JSON file")
     p.add_argument("--map", help='generator images, e.g. "a=a5,b=ab"')
     p.add_argument("--onto", help="search for an automorphism carrying H onto this subgroup")
     p.add_argument("--table", action="store_true", help="also print the recoloring table")
     p.add_argument("--out", help="write the conjugated spec JSON here")
-    p.set_defaults(func=cmd_conjugate)
-
-    return parser
 
 
 def _emit(text: str, out: str | None):
@@ -305,9 +312,9 @@ def cmd_conjugate(args) -> int:
         "verdict": moved.verdict(),
         "blocks": moved.partition.labels_json(),
     }
+    tile_map = tile_map_for(group) if args.table else None  # exit 2 before writing
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    if args.table:
-        tile_map = tile_map_for(group)
+    if tile_map is not None:
         coloring = {
             group.labels[g]: spec.partition.block_of[g] + 1 for g in group.elements
         }
@@ -316,6 +323,25 @@ def cmd_conjugate(args) -> int:
         for row in transfer_table(tile_map, coloring, perm):
             print(f"{row.domain},{row.original},{row.image},{row.new}")
     return 0
+
+
+#: Each subcommand's help, the function declaring its arguments, its handler.
+_COMMANDS = {
+    "subgroups": ("list subgroups of a group or of a subgroup", _subgroups_args, cmd_subgroups),
+    "enumerate": (
+        "census of inequivalent semiperfect colorings", _enumerate_args, cmd_enumerate
+    ),
+    "table1": (
+        "the 18-row reference grid of one-orbit colorings of the hexagonal pattern",
+        _table1_args,
+        cmd_table1,
+    ),
+    "verify": ("run the oracle-versus-classifier suites", _verify_args, cmd_verify),
+    "render": ("render a coloring spec file to SVG", _render_args, cmd_render),
+    "conjugate": (
+        "transport a coloring spec along a group automorphism", _conjugate_args, cmd_conjugate
+    ),
+}
 
 
 if __name__ == "__main__":

@@ -16,11 +16,18 @@ Values are keyed by float, under which 0.0 and -0.0 are one key although
 they format differently; no drawn coordinate is -0.0, because each is a tile
 coordinate plus a shift i*period with i >= 0 and a positive period, and
 -0.0 + 0.0 == 0.0.
+
+Every repeat block draws the same tiles, so the polygons of one block are
+one %-template, built once per call: each tile's label, block number and
+fill are written into it (any % doubled), and each tile id and coordinate
+is a %s.  A cell fills the template once, from one tuple that
+``itemgetter`` gathers out of the cell's tile-id strings and its x-text and
+y-text rows.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, itemgetter
 from typing import Mapping
 
 from .errors import InvalidParameterError, ResourceLimitError
@@ -110,11 +117,24 @@ def render_svg(
         spans.append((a, a + len(poly)))
         nxt += [*range(a + 1, a + len(poly)), a]
     blocks = [block_of[lab] for lab in labels]
-    heads = [f'" data-label="{lab}" data-block="{b}" points="' for lab, b in zip(labels, blocks)]
-    tails = [f'" fill="{palette_fill(palette, b)}" stroke="none"/>' for b in blocks]
+    # The block's template, and for each %s in it an index into a cell's
+    # [tile ids..., x texts..., y texts...].
+    count, total = len(polys), len(nxt)
+    polygons, order = [], []
+    for t, ((a, b), lab, block) in enumerate(zip(spans, labels, blocks)):
+        label, fill = lab.replace("%", "%%"), palette_fill(palette, block).replace("%", "%%")
+        points = " ".join(["%s,%s"] * (b - a))
+        polygons.append(
+            f'<polygon id="tile-%s" data-label="{label}" data-block="{block}" '
+            f'points="{points}" fill="{fill}" stroke="none"/>'
+        )
+        order.append(t)
+        for p in range(count + a, count + b):
+            order += (p, p + total)
+    template, gather = "\n".join(polygons), itemgetter(*order)
     # SVG y grows downward; flip so counterclockwise stays counterclockwise.
     fx, fy = [_fmt(SCALE * x) for x in xs], [_fmt(-SCALE * y) for y in ys]
-    x_text = [[fx[i] + "," for i in row] for row in x_rows]
+    x_text = [[fx[i] for i in row] for row in x_rows]
     x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
     y_text = [[fy[i] for i in row] for row in y_rows]
     y_key = [[y_rank[i] for i in row] for row in y_rows]
@@ -126,10 +146,9 @@ def render_svg(
     k = 0
     for xr, xt, xk in zip(x_rows, x_text, x_key):
         for yr, yt, yk in zip(y_rows, y_text, y_key):
-            for (a, b), block, head, tail in zip(spans, blocks, heads, tails):
-                coords = " ".join(map(add, xt[a:b], yt[a:b]))
-                lines.append(f'<polygon id="tile-{k}{head}{coords}{tail}')
-                k += 1
+            lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
+            k += count
+            for (a, b), block in zip(spans, blocks):
                 keys = list(map(add, xk[a:b], yk[a:b]))
                 for p, kp in enumerate(keys, a):
                     kq = keys[p + 1 - b]

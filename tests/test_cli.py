@@ -5,7 +5,7 @@ import pytest
 import semicolor.cli
 from semicolor.census import ColoringSpec
 from semicolor.cli import main
-from semicolor.groups import build_p4m_quotient, subgroup_from_words
+from semicolor.groups import build_dihedral, build_p4m_quotient, subgroup_from_words
 
 
 # Spec files that are valid JSON but not valid coloring specs.
@@ -83,6 +83,39 @@ def test_unwritable_out_exits_two(tmp_path, capsys, four_color_spec_file, argv):
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 
+
+
+COMMAND_NAMES = ["subgroups", "enumerate", "table1", "verify", "render", "conjugate"]
+
+
+def _exit_of(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([name, "-h"] for name in COMMAND_NAMES),
+        [],
+        ["bogus", "--group", "dihedral:6"],
+        ["verify"],
+        ["render", "spec.json"],
+        ["--bogus", "verify", "--group", "dihedral:6"],
+    ],
+    ids=[*(f"{name}-help" for name in COMMAND_NAMES), "no-arguments", "unknown-command",
+         "missing-option", "missing-required-out", "unknown-option-first"],
+)
+def test_only_invoked_arguments_declared_same_output(capsys, argv):
+    # main declares only the invoked subcommand's arguments; it must exit,
+    # print and complain exactly as a parser declaring every subcommand's.
+    assert list(semicolor.cli._COMMANDS) == COMMAND_NAMES
+    full = semicolor.cli._build_parser(COMMAND_NAMES)
+    expected = _exit_of(full.parse_args, argv, capsys)
+    assert expected[0] in (0, 2)
+    assert _exit_of(main, argv, capsys) == expected
 
 class TestSubgroupsCommand:
     def test_subgroups_of_color_group(self, capsys):
@@ -345,6 +378,20 @@ class TestConjugateCommand:
         lines = capsys.readouterr().out.splitlines()
         header = lines.index("domain,original,image,new")
         assert len(lines) - header - 1 == 12
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    def test_table_without_layout_exits_two_before_writing(self, tmp_path, capsys, to_file):
+        # dihedral:4 has no tile layout, so --table fails; nothing is written.
+        g = build_dihedral(4)
+        H = subgroup_from_words(g, "a2,b")
+        path, out = tmp_path / "spec.json", tmp_path / "moved.json"
+        path.write_text(json.dumps(ColoringSpec.type2(H, H, H).to_json()), encoding="utf-8")
+        argv = ["conjugate", str(path), "--map", "a=a,b=b", "--table"]
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_map_that_drops_an_image_exits_two(self, tmp_path, capsys):
         # In p4m_quotient:1 the generators x and y are the identity, so the

@@ -10,7 +10,7 @@ from semicolor.census import (
     standard_color_groups,
 )
 from semicolor.errors import InvalidParameterError, UnsupportedPatternError
-from semicolor.groups import build_dihedral, build_p4m_quotient, subgroup_from_words
+from semicolor.groups import FiniteGroup, build_dihedral, build_p4m_quotient, subgroup_from_words
 from semicolor.render import PALETTES, SCALE, _fmt, palette_fill, render_svg
 from semicolor.tiles import (
     TileMap,
@@ -245,6 +245,24 @@ class TestRendererOracle:
             assert render_svg(tm, blocks, "default", (4, 4)) == _reference_svg(
                 tm, blocks, "default", (4, 4)
             )
+
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 3)])
+    def test_percent_signs_in_labels_and_fills(self, monkeypatch, cells):
+        # Labels and fills are baked into a %-template of the repeat block;
+        # a % in them must come out as written.
+        monkeypatch.setitem(PALETTES, "percent", ("50%", "%s"))
+        group = FiniteGroup(("%s", "50%"), [[0, 1], [1, 0]], {"t": 1}, {"kind": "test"})
+        domains = {
+            "%s": ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)),
+            "50%": ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)),
+        }
+        tm = TileMap(pattern="test", group=group, domains=domains, cell=(1.0, 1.0))
+        for palette in ["default", "percent"]:
+            for blocks in [(0, 0), (0, 1)]:
+                block_of = dict(zip(("%s", "50%"), blocks))
+                svg = render_svg(tm, block_of, palette, cells)
+                assert svg == _reference_svg(tm, block_of, palette, cells)
+                assert 'data-label="%s"' in svg and 'data-label="50%"' in svg
 
     @pytest.mark.parametrize("cells", [(3, 5), (7, 2), (10, 10)])
     @pytest.mark.parametrize("cell", [(0.1, 0.7), (1 / 3, 0.2)])
