@@ -76,7 +76,7 @@ from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    configured_max_order,
+    MAX_SEARCH_ORDER,
     conjugacy_classes_of_subgroups,
     generating_words,
     left_coset_reps,
@@ -84,8 +84,8 @@ from .groups import (
     perfect_coset_count,
     right_coset_reps_outside,
     subgroup_from_words,
-    subgroup_pool,
     subgroups_of_index,
+    subgroups_of_index_at_most,
     whole_group,
 )
 from .partitions import (
@@ -248,7 +248,7 @@ class ColorGroupTables:
             raise InvalidParameterError("H must have index 2")
         self.H = H
         self.max_colors = max_colors
-        self.pool = subgroup_pool(H, max_colors)
+        self.pool = subgroups_of_index_at_most(H, H.order if max_colors is None else max_colors)
         self.reps: dict[tuple[int, ...], list[int]] = {}
         self.cores: dict[tuple[int, ...], int] = {}
         for J in self.pool:
@@ -783,10 +783,9 @@ def find_conjugating_automorphism(
     have index 2, the partial map may additionally be pruned whenever a
     member of H would leave H2 or vice versa.
     """
-    bound = configured_max_order()
-    if G.order > bound:
+    if G.order > MAX_SEARCH_ORDER:
         raise ResourceLimitError(
-            f"group order {G.order} exceeds the automorphism-search bound {bound}"
+            f"group order {G.order} exceeds the automorphism-search bound {MAX_SEARCH_ORDER}"
         )
     if H.order != H2.order:
         return None

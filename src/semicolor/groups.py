@@ -11,7 +11,6 @@ Conjugation acts on the left throughout: the conjugate of ``g`` by ``t`` is
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,8 +19,9 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 
-DEFAULT_MAX_ORDER = 512
-MAX_ORDER_ENV = "SEMICOLOR_MAX_ORDER"
+#: Largest ambient group of a whole-lattice or automorphism search (see
+#: ``subgroups_of_index_at_most`` for the one walk allowed above it).
+MAX_SEARCH_ORDER = 512
 #: Largest group whose multiplication table is built: order^2 entries,
 #: about 200 MiB at 2048.
 MAX_TABLE_ORDER = 2048
@@ -60,18 +60,6 @@ def _check_table_order(order: int) -> None:
         raise ResourceLimitError(
             f"group order {order} exceeds the multiplication-table bound {MAX_TABLE_ORDER}"
         )
-
-
-def configured_max_order() -> int:
-    raw = os.environ.get(MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"{MAX_ORDER_ENV} must be an integer, got {raw!r}"
-        ) from None
 
 
 _WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
@@ -499,26 +487,18 @@ def _as_universe(group_or_subgroup: FiniteGroup | Subgroup) -> Subgroup:
     return group_or_subgroup
 
 
-def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
-    """Every subgroup of the given group (or of the given subgroup).
+def _cyclic_extension(universe: Subgroup) -> list[Subgroup]:
+    """Every subgroup of ``universe``, found by cyclic extension (Holt, Eick
+    and O'Brien, *Handbook of Computational Group Theory*, 2005, section 3).
 
-    Found by cyclic extension (Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, section 3): every subgroup is reached
-    from the trivial one by adjoining one element at a time, so adjoining
-    elements to already-found subgroups reaches all of them.  For a found K
-    one element g per right coset K*g outside K suffices, because
-    <K, k*g> = <K, g> for every k in K; and <K, g> is closed from the
-    generators K was found from plus g.  That is [U:K] - 1 closures for each
-    K in the lattice of the universe U.  Deterministic order: by order, then
-    by member tuple.
+    Every subgroup is reached from the trivial one by adjoining one element
+    at a time, so adjoining elements to already-found subgroups reaches all
+    of them.  For a found K one element g per right coset K*g outside K
+    suffices, because <K, k*g> = <K, g> for every k in K; and <K, g> is
+    closed from the generators K was found from plus g.  That is [U:K] - 1
+    closures for each K in the lattice of the universe U.
     """
-    universe = _as_universe(group_or_subgroup)
     group = universe.group
-    bound = configured_max_order()
-    if group.order > bound:
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds the subgroup-enumeration bound {bound}"
-        )
     trivial = (group.identity,)
     found = {trivial: Subgroup(group, trivial)}
     frontier = [(trivial, ())]  # (members, generators found from)
@@ -532,7 +512,18 @@ def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
             if bigger not in found:
                 found[bigger] = Subgroup(group, bigger)
                 frontier.append((bigger, gens + (g,)))
-    return sorted(found.values(), key=lambda s: (s.order, s.members))
+    return list(found.values())
+
+
+def all_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
+    """Every subgroup of the given group (or of the given subgroup): the
+    ``subgroups_of_index_at_most`` walk down to the trivial subgroup.
+    Deterministic order: by order, then by member tuple."""
+    universe = _as_universe(group_or_subgroup)
+    return sorted(
+        subgroups_of_index_at_most(universe, universe.order),
+        key=lambda s: (s.order, s.members),
+    )
 
 
 def index_two_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgroup]:
@@ -586,7 +577,8 @@ def index_two_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgr
 
 
 def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int) -> list[Subgroup]:
-    """All subgroups of the given index, deterministically ordered."""
+    """All subgroups of the given index, deterministically ordered: index 2
+    without any lattice, a larger one from ``subgroups_of_index_at_most``."""
     universe = _as_universe(group_or_subgroup)
     if k < 1:
         raise InvalidParameterError("index must be a positive integer")
@@ -596,45 +588,40 @@ def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int) -> lis
         return []
     if k == 2:
         return index_two_subgroups(universe)
-    return [s for s in all_subgroups(universe) if universe.order == k * s.order]
+    return [s for s in subgroups_of_index_at_most(universe, k) if universe.order == k * s.order]
 
 
 def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]:
-    """Subgroups of index <= bound inside ``universe``.
+    """Subgroups of index <= bound inside ``universe``, largest first, then
+    by member tuple: the one walk of the subgroup lattice.
 
-    For 2-power order this walks index-2 steps (every maximal subgroup of a
-    p-group has index p); otherwise it filters the full lattice.
+    A 2-group is descended by index-2 steps down to index ``bound``: every
+    maximal subgroup of a p-group has index p.  Any other universe filters
+    the lattice found by cyclic extension.  Above an ambient order of
+    MAX_SEARCH_ORDER the walk is refused when it covers the whole lattice
+    (bound >= the universe's order) or the universe is not a 2-group.
     """
     if bound < 1:
         raise InvalidParameterError("index bound must be a positive integer")
-    n = universe.order
-    if n & (n - 1) == 0:
+    group, n = universe.group, universe.order
+    two_group = n & (n - 1) == 0
+    if group.order > MAX_SEARCH_ORDER and (bound >= n or not two_group):
+        raise ResourceLimitError(
+            f"group order {group.order} exceeds the subgroup-enumeration bound {MAX_SEARCH_ORDER}"
+        )
+    if two_group:
         found = {universe.members: universe}
-        frontier = [universe]
-        index = 1
-        while frontier and index * 2 <= bound:
-            index *= 2
-            nxt = []
-            for sub in frontier:
+        walk = [universe]
+        for sub in walk:  # grows while it is walked
+            if 2 * n <= bound * sub.order:  # its index-2 subgroups are within the bound
                 for smaller in index_two_subgroups(sub):
                     if smaller.members not in found:
                         found[smaller.members] = smaller
-                        nxt.append(smaller)
-            frontier = nxt
-        return sorted(found.values(), key=lambda s: (-s.order, s.members))
-    return sorted(
-        (s for s in all_subgroups(universe) if s.order * bound >= n),
-        key=lambda s: (-s.order, s.members),
-    )
-
-
-def subgroup_pool(universe: Subgroup, max_index: int | None) -> list[Subgroup]:
-    """The subgroups that a census or a verify sweep walks: the whole
-    lattice of ``universe`` when ``max_index`` is None, else those of index
-    <= ``max_index``."""
-    if max_index is None:
-        return all_subgroups(universe)
-    return subgroups_of_index_at_most(universe, max_index)
+                        walk.append(smaller)
+        subs = found.values()
+    else:
+        subs = [s for s in _cyclic_extension(universe) if s.order * bound >= n]
+    return sorted(subs, key=lambda s: (-s.order, s.members))
 
 
 def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:

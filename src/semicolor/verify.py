@@ -52,9 +52,9 @@ from .geometry import SymmetryDiagram, lift_quotient_element, symmetry_diagram
 from .groups import (
     FiniteGroup,
     Subgroup,
+    all_subgroups,
     perfect_coset_count,
     subgroup_generated,
-    subgroup_pool,
     subgroups_of_index,
     subgroups_of_index_at_most,
     whole_group,
@@ -363,7 +363,7 @@ def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 
 
 def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
-    subs = subgroup_pool(whole_group(G), None if G.order <= 32 else 8)
+    subs = all_subgroups(G) if G.order <= 32 else subgroups_of_index_at_most(whole_group(G), 8)
     if not exhaustive:
         subs = subs[: max(12, len(subs) // 4)]
     # Many (J, r) share one conjugate J^r: its diagram is computed once.

@@ -135,9 +135,9 @@ class TestSubgroupsCommand:
         assert main(["subgroups", "--group", "unknown:6"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_resource_limit_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setenv("SEMICOLOR_MAX_ORDER", "8")
-        assert main(["subgroups", "--group", "dihedral:6"]) == 3
+    def test_resource_limit_exits_three(self, capsys):
+        # Order 514: above the subgroup-search bound, and not a 2-group.
+        assert main(["subgroups", "--group", "dihedral:257"]) == 3
 
     # Groups above the multiplication-table bound are refused before their
     # order^2 table is allocated (tens of GB for these two).

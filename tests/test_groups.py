@@ -191,7 +191,7 @@ class TestClosure:
             return close(group, seed)
 
         monkeypatch.setattr(groups, "_close_under_products", recording)
-        subs = all_subgroups(H)
+        subs = groups._cyclic_extension(H)
         monkeypatch.undo()
         assert len(subs) == 35
         # One closure per right coset outside each subgroup of the lattice.
@@ -230,8 +230,47 @@ def test_all_subgroups_matches_saturating_search(descriptor):
     universes = [whole_group(group), subgroup_generated(group, [])]
     universes += subgroups_of_index(group, 2)
     for universe in universes:
+        want = saturating_subgroups(universe)
         got = [s.members for s in all_subgroups(universe)]
-        assert got == saturating_subgroups(universe), generating_words(universe)
+        assert got == want, generating_words(universe)
+        # The 2-groups among these descend, so cyclic extension is held
+        # against the reference here too.
+        extended = sorted(s.members for s in groups._cyclic_extension(universe))
+        assert extended == sorted(want), generating_words(universe)
+
+
+def test_descent_matches_cyclic_extension_on_large_color_groups():
+    # The two standard color groups of p4m_quotient:8 have order 256 and
+    # 1,103 subgroups each: the largest 2-group lattices of a census.
+    G = build_p4m_quotient(8)
+    for words in ("a,ab,xy,Xy", "xa,ab,xy,Xy"):
+        H = subgroup_from_words(G, words)
+        descended = [s.members for s in all_subgroups(H)]
+        assert len(descended) == 1103
+        assert descended == sorted(
+            (s.members for s in groups._cyclic_extension(H)), key=lambda m: (len(m), m)
+        )
+
+
+@pytest.fixture(scope="module")
+def above_search_bound():
+    # Orders 1024 (a 2-group) and 514 (not one); the first takes about 1 s to build.
+    return {n: whole_group(build_dihedral(n)) for n in (512, 257)}
+
+
+@pytest.mark.parametrize("n, bound, refused, count", [
+    (512, None, True, None),  # the whole lattice
+    (257, 2, True, None),
+    (512, 4, False, 9),  # a capped descent
+])
+def test_lattice_walk_refusal(above_search_bound, n, bound, refused, count):
+    U = above_search_bound[n]
+    bound = U.order if bound is None else bound
+    if refused:
+        with pytest.raises(ResourceLimitError, match=str(groups.MAX_SEARCH_ORDER)):
+            subgroups_of_index_at_most(U, bound)
+    else:
+        assert len(subgroups_of_index_at_most(U, bound)) == count
 
 
 class TestSubgroupMachinery:
@@ -278,12 +317,19 @@ class TestSubgroupMachinery:
         assert [generating_words(s) for s in idx2] == ["<a>", "<a^2,b>", "<a^2,ab>"]
         assert subgroups_of_index(d6, 1) == [whole_group(d6)]
         assert len(subgroups_of_index(d6, 12)) == 1
+        # The order-32 groups are 2-groups, which descend only to index k.
+        for G in (d6, build_p4m_quotient(2), build_dihedral(16)):
+            lattice = saturating_subgroups(whole_group(G))
+            for k in range(1, G.order + 1):
+                if G.order % k == 0:
+                    want = sorted(m for m in lattice if len(m) * k == G.order)
+                    assert [s.members for s in subgroups_of_index(G, k)] == want, k
 
-    def test_resource_bound(self, d6, monkeypatch):
-        monkeypatch.setenv("SEMICOLOR_MAX_ORDER", "8")
+    def test_resource_bound(self):
+        # dihedral:257 has order 514, above the search bound, and is no 2-group.
         with pytest.raises(ResourceLimitError) as err:
-            all_subgroups(d6)
-        assert "8" in str(err.value)
+            all_subgroups(build_dihedral(257))
+        assert str(groups.MAX_SEARCH_ORDER) in str(err.value)
 
     @pytest.mark.parametrize("build, param", [(build_dihedral, 1025), (build_p4m_quotient, 17)])
     def test_table_bound(self, build, param):
