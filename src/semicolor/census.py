@@ -70,7 +70,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
@@ -100,6 +100,7 @@ from .partitions import (
     smallest_outside,
     type1_partition,
     type2_partition,
+    _require_index_two,
     _translates,
 )
 
@@ -637,31 +638,33 @@ class GroupAutomorphism:
     ) -> "GroupAutomorphism":
         """The automorphism sending each declared generator to its image.
 
-        Starting from e -> e, each image is added and the map closed under
-        products (``_close_map``); images that conflict there, a map that is
-        not injective, or generators that do not reach the whole group raise.
+        Images are words or element indices.  Each prefix of the declared
+        generators is extended by ``_extend`` in turn, so the first prefix
+        whose images do not extend to an injective homomorphism names the
+        generator in the error; generators that do not reach the whole group
+        raise too.
         """
         names = set(group.generators)
         if names != set(images):
             raise InvalidParameterError(
                 f"generator images must name exactly the generators {sorted(names)}"
             )
-        e = group.identity
-        pmap, rmap = {e: e}, {e: e}
-        for name, g in group.generators.items():
+        gens, imgs = list(group.generators.values()), []
+        for name in group.generators:
             img = images[name]
-            img = group.element(img) if isinstance(img, str) else img
-            if (
-                pmap.setdefault(g, img) != img
-                or rmap.setdefault(img, g) != g
-                or not _close_map(group.table, pmap, rmap, [g], lambda p, q: True)
-            ):
+            if isinstance(img, str):
+                img = group.element(img)
+            elif not (isinstance(img, int) and 0 <= img < group.order):
+                raise InvalidParameterError(f"unknown element index {img}")
+            imgs.append(img)
+            f = _extend(group, gens[: len(imgs)], imgs)
+            if f is None:
                 raise InvalidParameterError(
                     f"generator images do not extend to an automorphism (at {name})"
                 )
-        if len(pmap) != group.order:
+        if len(f) != group.order:
             raise InvalidParameterError("declared generators do not generate the group")
-        return cls(group, tuple(pmap[g] for g in range(group.order)))
+        return cls(group, tuple(f[g] for g in range(group.order)))
 
     def __call__(self, g: int) -> int:
         return self.images[g]
@@ -736,90 +739,76 @@ def action_equivalence_check(
     return True, f
 
 
-def _close_map(
-    table: Sequence[Sequence[int]],
-    pmap: dict[int, int],
-    rmap: dict[int, int],
-    fresh: list[int],
-    compatible: Callable[[int, int], bool],
-) -> bool:
-    """Close the partial map ``pmap`` (inverse ``rmap``) under products, in
-    place, after the points ``fresh`` were added.
+def _extend(
+    group: FiniteGroup, gens: Sequence[int], images: Sequence[int]
+) -> dict[int, int] | None:
+    """The injective homomorphism on <gens> sending gens[i] to images[i].
 
-    Every product g*h and h*g of a fresh point g with a mapped point h must
-    go to the product of their images; a new point is mapped and queued.
-    Returns False when a product already has another image, when an image
-    is already taken, or when ``compatible(point, image)`` fails.
+    Walks <gens> from the identity by right multiplication with each
+    generator, as ``groups._close_under_products`` does, and maps g*s to
+    f(g)*f(s).  A map with f(g*s) = f(g)*f(s) for every g and generator s is
+    a homomorphism, so the walk is exact: it returns None when a point is
+    reached with two images or an image is taken twice.
     """
-    queue = list(fresh)
-    while queue:
-        g = queue.pop()
-        img_g = pmap[g]
-        for h in list(pmap):
-            img_h = pmap[h]
-            for p, q in ((table[g][h], table[img_g][img_h]),
-                         (table[h][g], table[img_h][img_g])):
-                known = pmap.get(p)
-                if known is not None:
-                    if known != q:
-                        return False
-                    continue
-                if q in rmap or not compatible(p, q):
-                    return False
-                pmap[p] = q
-                rmap[q] = p
-                queue.append(p)
-    return True
+    table = group.table
+    e = group.identity
+    f, taken, frontier = {e: e}, {e}, [e]
+    for g in frontier:  # grows while it is walked
+        row, img_row = table[g], table[f[g]]
+        for s, t in zip(gens, images):
+            p, q = row[s], img_row[t]
+            known = f.get(p)
+            if known is None:
+                if q in taken:
+                    return None
+                f[p] = q
+                taken.add(q)
+                frontier.append(p)
+            elif known != q:
+                return None
+    return f
 
 
 def find_conjugating_automorphism(
     G: FiniteGroup, H: Subgroup, H2: Subgroup
 ) -> GroupAutomorphism | None:
-    """Search for an automorphism of G carrying H onto H2.
+    """The first automorphism of G carrying the index-2 subgroup H onto H2.
 
-    Backtracking over generator images (restricted to elements of equal
-    order), growing a partial multiplication-respecting map; the first
-    complete bijection in canonical candidate order wins.  Because H and H2
-    have index 2, the partial map may additionally be pruned whenever a
-    member of H would leave H2 or vice versa.
+    Backtracks over generator images in the order of the declared
+    generators, each candidate an element of equal order taken smallest
+    first; every trial is ``_extend`` of the prefix.  Only generator images
+    are tested for membership: at index 2, membership in H and in H2 are
+    homomorphisms onto Z/2, so two that agree on the generators agree on
+    their span.  Returns None when no automorphism carries H onto H2.
     """
     if G.order > MAX_SEARCH_ORDER:
         raise ResourceLimitError(
             f"group order {G.order} exceeds the automorphism-search bound {MAX_SEARCH_ORDER}"
         )
+    _require_index_two(H)
     if H.order != H2.order:
         return None
-    gen_names = list(G.generators)
+    gens = list(G.generators.values())
     orders = G.element_orders
     h_set, h2_set = H.member_set, H2.member_set
-    table = G.table
 
-    def compatible(g: int, img: int) -> bool:
-        return (g in h_set) == (img in h2_set)
-
-    def search(i: int, pmap: dict[int, int], rmap: dict[int, int]):
-        if i == len(gen_names):
-            if len(pmap) == G.order:
-                return GroupAutomorphism(G, tuple(pmap[g] for g in range(G.order)))
+    def search(images: list[int], f: dict[int, int]) -> GroupAutomorphism | None:
+        if len(images) == len(gens):
+            if len(f) == G.order:
+                return GroupAutomorphism(G, tuple(f[g] for g in range(G.order)))
             return None
-        g = G.generators[gen_names[i]]
-        if g in pmap:
-            return search(i + 1, pmap, rmap)
+        g = gens[len(images)]
         for img in range(G.order):
-            if orders[img] != orders[g] or img in rmap or not compatible(g, img):
+            if orders[img] != orders[g] or (g in h_set) != (img in h2_set):
                 continue
-            trial = dict(pmap)
-            rtrial = dict(rmap)
-            trial[g] = img
-            rtrial[img] = g
-            if _close_map(table, trial, rtrial, [g], compatible):
-                found = search(i + 1, trial, rtrial)
+            trial = _extend(G, gens[: len(images) + 1], images + [img])
+            if trial is not None:
+                found = search(images + [img], trial)
                 if found is not None:
                     return found
         return None
 
-    e = G.identity
-    return search(0, {e: e}, {e: e})
+    return search([], {G.identity: G.identity})
 
 
 # -- named subgroups of the built-in groups ---------------------------------------

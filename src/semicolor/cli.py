@@ -253,6 +253,10 @@ def _load_spec(path: str) -> ColoringSpec:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidParameterError(f"spec file not found: {path}") from None
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InvalidParameterError(f"spec file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"spec file is not valid JSON: {exc}") from None
     if not isinstance(data, dict):

@@ -5,6 +5,7 @@ import pytest
 
 from semicolor import census, partitions
 from semicolor.census import (
+    P4M_COLOR_GROUPS,
     ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
@@ -629,6 +630,139 @@ class TestAutomorphisms:
 
     def test_search_rejects_impossible(self, d6, hexH, hexH_rot):
         assert find_conjugating_automorphism(d6, hexH, hexH_rot) is None
+
+    def test_search_requires_index_two(self, d6):
+        # Membership is tested on generator images only, which is exact at
+        # index 2 alone; equal orders do not let a smaller H through.
+        with pytest.raises(InvalidParameterError, match="index 2"):
+            find_conjugating_automorphism(
+                d6, subgroup_from_words(d6, "b"), subgroup_from_words(d6, "a2b")
+            )
+
+    @pytest.mark.parametrize("image", [12, -1, 5.0])
+    def test_generator_image_index_out_of_range_rejected(self, d6, image):
+        with pytest.raises(InvalidParameterError, match="unknown element index"):
+            GroupAutomorphism.from_generator_images(d6, {"a": image, "b": "ab"})
+
+
+# -- reference automorphism construction ---------------------------------------
+# The all-pairs product closure and the backtracking that copied it per
+# trial, which ``census._extend`` replaced; kept as the oracle for both of
+# its callers, as ``saturating_subgroups`` is kept for the subgroup lattice.
+
+
+def _close_map(table, pmap, rmap, fresh, compatible):
+    """Close the partial map ``pmap`` (inverse ``rmap``) under products in
+    place after the points ``fresh`` were added; False on a conflicting
+    product, an image taken twice, or a point failing ``compatible``."""
+    queue = list(fresh)
+    while queue:
+        g = queue.pop()
+        img_g = pmap[g]
+        for h in list(pmap):
+            img_h = pmap[h]
+            for p, q in ((table[g][h], table[img_g][img_h]),
+                         (table[h][g], table[img_h][img_g])):
+                known = pmap.get(p)
+                if known is not None:
+                    if known != q:
+                        return False
+                    continue
+                if q in rmap or not compatible(p, q):
+                    return False
+                pmap[p] = q
+                rmap[q] = p
+                queue.append(p)
+    return True
+
+
+def reference_generator_images(group, images):
+    """Pointwise images of the automorphism, closing after each generator."""
+    e = group.identity
+    pmap, rmap = {e: e}, {e: e}
+    for name, g in group.generators.items():
+        img = images[name]
+        img = group.element(img) if isinstance(img, str) else img
+        if (
+            pmap.setdefault(g, img) != img
+            or rmap.setdefault(img, g) != g
+            or not _close_map(group.table, pmap, rmap, [g], lambda p, q: True)
+        ):
+            raise InvalidParameterError(
+                f"generator images do not extend to an automorphism (at {name})"
+            )
+    if len(pmap) != group.order:
+        raise InvalidParameterError("declared generators do not generate the group")
+    return tuple(pmap[g] for g in range(group.order))
+
+
+def reference_search(G, H, H2):
+    """Pointwise images of the first automorphism carrying H onto H2, or
+    None; every point of each trial closure is tested for membership."""
+    gen_names = list(G.generators)
+    orders = G.element_orders
+
+    def compatible(g, img):
+        return (g in H.member_set) == (img in H2.member_set)
+
+    def search(i, pmap, rmap):
+        if i == len(gen_names):
+            return tuple(pmap[g] for g in range(G.order)) if len(pmap) == G.order else None
+        g = G.generators[gen_names[i]]
+        if g in pmap:
+            return search(i + 1, pmap, rmap)
+        for img in range(G.order):
+            if orders[img] != orders[g] or img in rmap or not compatible(g, img):
+                continue
+            trial, rtrial = dict(pmap), dict(rmap)
+            trial[g], rtrial[img] = img, g
+            if _close_map(G.table, trial, rtrial, [g], compatible):
+                found = search(i + 1, trial, rtrial)
+                if found is not None:
+                    return found
+        return None
+
+    e = G.identity
+    return search(0, {e: e}, {e: e})
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["dihedral:4", "dihedral:6", "dihedral:8", "dihedral:12"]
+    + [f"p4m_quotient:{n}" for n in range(1, 4)],
+)
+def test_search_matches_reference(descriptor):
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    color_groups = subgroups_of_index(G, 2)
+    for H in color_groups:
+        for H2 in color_groups:
+            alpha = find_conjugating_automorphism(G, H, H2)
+            got = None if alpha is None else alpha.images
+            assert got == reference_search(G, H, H2), (generating_words(H), generating_words(H2))
+
+
+def test_search_matches_reference_on_the_gallery_pair(g4):
+    H, H2 = (subgroup_from_words(g4, words) for words in P4M_COLOR_GROUPS)
+    alpha = find_conjugating_automorphism(g4, H, H2)
+    assert alpha is not None
+    assert alpha.images == reference_search(g4, H, H2)
+
+
+@pytest.mark.parametrize("descriptor", ["dihedral:6", "dihedral:8"])
+def test_generator_images_match_reference(descriptor):
+    # Every image pair of a and b: the same images or the same message.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    for img_a in G.elements:
+        for img_b in G.elements:
+            images = {"a": img_a, "b": img_b}
+            try:
+                want = reference_generator_images(G, images)
+            except InvalidParameterError as exc:
+                with pytest.raises(InvalidParameterError) as raised:
+                    GroupAutomorphism.from_generator_images(G, images)
+                assert str(raised.value) == str(exc), images
+            else:
+                assert GroupAutomorphism.from_generator_images(G, images).images == want
 
 
 def _cycle_lengths(perm):

@@ -327,6 +327,27 @@ class TestRenderCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [["render", "--out"], ["conjugate", "--map", "a=a", "--out"]],
+        ids=["render", "conjugate"],
+    )
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["directory", "not-utf8"])
+    def test_spec_that_cannot_be_read_exits_two(self, tmp_path, capsys, command, content):
+        # A directory or a file that is not UTF-8 gives one error line, as a
+        # write that fails does.
+        path = tmp_path / "spec"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = [command[0], str(path), *command[1:], str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cells", ["0x0", "-1x2", "2x0", "0"])
     def test_cells_below_one_exit_two(self, tmp_path, capsys, cells):
         self._assert_render_rejects(tmp_path, capsys, cells, 2)
@@ -425,6 +446,21 @@ class TestConjugateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_search_from_a_color_group_of_index_three_exits_two(self, tmp_path, capsys):
+        spec = {
+            "group": {"kind": "dihedral", "n": 6},
+            "H": ["e", "a^2", "a^4"],
+            "kind": "type1",
+            "J": ["e"],
+            "r": "a",
+        }
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["conjugate", str(path), "--onto", "a2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the color group H must have index 2\n"
 
     def test_requires_map_or_target(self, capsys, four_color_spec_file):
         assert main(["conjugate", str(four_color_spec_file)]) == 2
