@@ -40,13 +40,11 @@ from .verify import run_verification
 def main(argv=None) -> int:
     """Run one command line (default ``sys.argv[1:]``); return its exit code.
 
-    Only the invoked subcommand's arguments are declared: those of the first
-    token that names a subcommand.  Every subcommand is still registered with
-    its help, so ``semicolor -h`` and "invalid choice" errors are unchanged.
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built; every other argv (none, a top-level option first, an unknown
+    command) takes the full parser.  Help and error texts are the same.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    invoked = next((token for token in argv if token in _COMMANDS), None)
-    args = _build_parser({invoked}).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except SemicolorError as exc:
@@ -54,8 +52,22 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-def _build_parser(declared) -> argparse.ArgumentParser:
-    """The parser of every subcommand, with the arguments of those ``declared``."""
+def _parse(argv):
+    """The namespace of a command line, as ``_build_parser()`` parses it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return _build_parser().parse_args(argv)
+    _, declare, run = _COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"semicolor {argv[0]}")  # as add_parser names it
+    declare(parser)
+    args, extra = parser.parse_known_args(argv[1:])
+    if extra:  # the error argparse gives for what a subparser leaves over
+        _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command, args.func = argv[0], run
+    return args
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="semicolor",
         description="Enumerate, classify and render semiperfect colorings of "
@@ -65,8 +77,7 @@ def _build_parser(declared) -> argparse.ArgumentParser:
     for name, (help_text, declare, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=run)
-        if name in declared:
-            declare(p)
+        declare(p)
     return parser
 
 
@@ -274,11 +285,10 @@ def cmd_render(args) -> int:
     block_of = {
         spec.group.labels[g]: spec.partition.block_of[g] for g in spec.group.elements
     }
-    try:
-        m, _, n = args.cells.partition("x")
-        cells = (int(m), int(n or m))
-    except ValueError:
-        raise InvalidParameterError(f"cannot parse cells {args.cells!r}") from None
+    m, x, n = args.cells.partition("x")
+    if not all(s.isascii() and s.isdigit() for s in (m, n if x else m)):  # no sign, space or _
+        raise InvalidParameterError(f"cannot parse cells {args.cells!r}")
+    cells = (int(m), int(n or m))
     _emit(render_svg(tile_map, block_of, palette=args.palette, cells=cells), args.out)
     colors, fills = spec.partition.num_blocks, len(PALETTES[args.palette])
     print(f"wrote {args.out}: {colors} colors, {spec.verdict()}")

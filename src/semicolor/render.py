@@ -23,6 +23,15 @@ fill are written into it (any % doubled), and each tile id and coordinate
 is a %s.  A cell fills the template once, from one tuple that
 ``itemgetter`` gathers out of the cell's tile-id strings and its x-text and
 y-text rows.
+
+Every block carries the same coloring, so which edges a block strokes
+depends only on which neighbouring blocks exist: they are classified on the
+first min(m,3) x min(n,3) blocks, and each block strokes, at its own
+coordinates, those of its class block (0 if first in its row or column, the
+last if last, else 1).  That is exact when rounding commutes with
+translation by the periods and tiles meet only tiles of adjacent blocks, as
+for p4m: every coordinate is a multiple of 1/2 plus an integer shift, and
+tiles reach 1/2 beyond their block of side N >= 1.  The hexagon never repeats.
 """
 
 from __future__ import annotations
@@ -138,16 +147,14 @@ def render_svg(
     x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
     y_text = [[fy[i] for i in row] for row in y_rows]
     y_key = [[y_rank[i] for i in row] for row in y_rows]
-    # Edge slots: the first block drawn, then 0 not seen again, 1 again with
-    # that block only, 2 with another; and the first-seen raw start (x row, y
-    # row, position, is it the larger end).  Edges seen once or with two
-    # blocks are drawn, in key order.
+    # Edge slots on the class blocks: the first block drawn, then 0 not seen
+    # again, 1 again with that block only, 2 with another; and the class
+    # block first drawing it, with its start and is it the larger end.  Edges
+    # seen once or with two blocks are stroked by that class's blocks.
+    mc, nc = min(m, 3), min(n, 3)
     edges: dict[int, list] = {}
-    k = 0
-    for xr, xt, xk in zip(x_rows, x_text, x_key):
-        for yr, yt, yk in zip(y_rows, y_text, y_key):
-            lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
-            k += count
+    for ci, xk in enumerate(x_key[:mc]):
+        for cj, yk in enumerate(y_key[:nc]):
             for (a, b), block in zip(spans, blocks):
                 keys = list(map(add, xk[a:b], yk[a:b]))
                 for p, kp in enumerate(keys, a):
@@ -155,19 +162,27 @@ def render_svg(
                     key = kq * size + kp if kq < kp else kp * size + kq
                     slot = edges.get(key)
                     if slot is None:
-                        edges[key] = [block, 0, xr, yr, p, kq < kp]
+                        edges[key] = [block, 0, (ci, cj), p, kq < kp]
                     elif block != slot[0]:
                         slot[1] = 2
                     elif not slot[1]:
                         slot[1] = 1
-    for key in sorted(edges):
-        _, seen, xr, yr, p, swapped = edges[key]
-        if seen != 1:
-            p, q = (nxt[p], p) if swapped else (p, nxt[p])
-            lines.append(
-                f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
-                'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
-            )
+    owned, drawn, k = {}, [], 0  # class block -> stroked (p, q); (key, line); next tile id
+    for _, seen, c, p, swapped in edges.values():
+        if seen != 1:  # its ends (p, q), smaller key first
+            owned.setdefault(c, []).append((nxt[p], p) if swapped else (p, nxt[p]))
+    for i, (xr, xt, xk) in enumerate(zip(x_rows, x_text, x_key)):
+        ci = mc - 1 if i == m - 1 else min(i, 1)
+        for j, (yr, yt, yk) in enumerate(zip(y_rows, y_text, y_key)):
+            lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
+            k += count
+            drawn += [
+                ((xk[p] + yk[p]) * size + xk[q] + yk[q],
+                 f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
+                 'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>')
+                for p, q in owned.get((ci, nc - 1 if j == n - 1 else min(j, 1)), ())
+            ]
+    lines += [line for _, line in sorted(drawn)]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -95,6 +95,16 @@ def _exit_of(parse, argv, capsys):
     return exc.value.code, captured.out, captured.err
 
 
+def _outcome(parse, argv, capsys):
+    """The parsed namespace as a dict, or the exit code; then stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -104,18 +114,34 @@ def _exit_of(parse, argv, capsys):
         ["verify"],
         ["render", "spec.json"],
         ["--bogus", "verify", "--group", "dihedral:6"],
+        ["render", "x", "--out", "y", "--zz"],
+        ["enumerate", "--group", "g", "--type", "3"],
+        ["subgroups", "--group", "g", "--index", "x"],
+        ["enumerate", "--gr", "dihedral:6"],
+        ["render", "spec.json", "--cells=4x4", "--out", "o.svg"],
+        ["render", "--out", "o.svg", "--", "spec.json"],
+        ["-h", "render"],
+        ["conjugate", "spec.json", "--map", "a=a5,b=ab", "--table", "--out", "o.json"],
     ],
     ids=[*(f"{name}-help" for name in COMMAND_NAMES), "no-arguments", "unknown-command",
-         "missing-option", "missing-required-out", "unknown-option-first"],
+         "missing-option", "missing-required-out", "unknown-option-first",
+         "unrecognized-after-command", "bad-choice", "bad-int", "abbreviated-option",
+         "option-equals-value", "double-dash-positional", "help-first", "conjugate-parses"],
 )
 def test_only_invoked_arguments_declared_same_output(capsys, argv):
-    # main declares only the invoked subcommand's arguments; it must exit,
-    # print and complain exactly as a parser declaring every subcommand's.
+    # main builds only the invoked subcommand's parser when argv[0] names
+    # it; it must parse, exit, print and complain exactly as a parser
+    # declaring every subcommand's arguments.
     assert list(semicolor.cli._COMMANDS) == COMMAND_NAMES
-    full = semicolor.cli._build_parser(COMMAND_NAMES)
-    expected = _exit_of(full.parse_args, argv, capsys)
-    assert expected[0] in (0, 2)
-    assert _exit_of(main, argv, capsys) == expected
+    full = semicolor.cli._build_parser()
+    expected = _outcome(full.parse_args, argv, capsys)
+    assert _outcome(semicolor.cli._parse, argv, capsys) == expected
+    if isinstance(expected[0], dict):
+        assert expected[0]["func"] is semicolor.cli._COMMANDS[expected[0]["command"]][2]
+    else:
+        assert expected[0] in (0, 2)
+        assert _exit_of(main, argv, capsys) == expected
+
 
 class TestSubgroupsCommand:
     def test_subgroups_of_color_group(self, capsys):
@@ -352,6 +378,13 @@ class TestRenderCommand:
     def test_cells_below_one_exit_two(self, tmp_path, capsys, cells):
         self._assert_render_rejects(tmp_path, capsys, cells, 2)
 
+    # Only N or MxN in ASCII digits: int() alone would take signs, spaces,
+    # underscores and non-ASCII digits.
+    @pytest.mark.parametrize("cells", ["4x", "1_0x2", "+2x2", " 3 x2", "x4", "2x2x2", "\u0662x2"])
+    def test_malformed_cells_exit_two(self, tmp_path, capsys, cells):
+        err = self._assert_render_rejects(tmp_path, capsys, cells, 2)
+        assert err == f"error: cannot parse cells {cells!r}\n"
+
     # More than 64x64 repeat blocks are refused before anything is drawn.
     @pytest.mark.parametrize("cells", ["65x64", "4097x1"])
     def test_cells_above_bound_exit_three(self, tmp_path, capsys, cells):
@@ -373,6 +406,7 @@ class TestRenderCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+        return err
 
 
 class TestConjugateCommand:

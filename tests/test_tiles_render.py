@@ -1,5 +1,6 @@
 import random
 import re
+from operator import add, itemgetter
 
 import pytest
 
@@ -11,7 +12,7 @@ from semicolor.census import (
 )
 from semicolor.errors import InvalidParameterError, UnsupportedPatternError
 from semicolor.groups import FiniteGroup, build_dihedral, build_p4m_quotient, subgroup_from_words
-from semicolor.render import PALETTES, SCALE, _fmt, palette_fill, render_svg
+from semicolor.render import PALETTES, SCALE, _axis, _fmt, palette_fill, render_svg
 from semicolor.tiles import (
     TileMap,
     hexagon_tile_map,
@@ -193,6 +194,86 @@ def _reference_segments(polys):
     ]
 
 
+def reference_render_svg(tile_map, block_of, palette="default", cells=(1, 1)):
+    """The renderer classifying edges over every repeat block: the reference.
+
+    ``render_svg`` classifies them on at most 3x3 blocks and must give the
+    same bytes for valid input.
+    """
+    (m, n), (cx, cy) = (1, 1), (0.0, 0.0)
+    if tile_map.cell is not None:
+        (m, n), (cx, cy) = cells, tile_map.cell
+    labels = [tile_map.group.labels[g] for g in tile_map.group.elements]
+    polys = [tile_map.domains[lab] for lab in labels]
+    xs, x_rank, x_rows = _axis([x for poly in polys for x, _ in poly], m, cx)
+    ys, y_rank, y_rows = _axis([y for poly in polys for _, y in poly], n, cy)
+    ny = y_rank[-1] + 1
+    size = (x_rank[-1] + 1) * ny
+    margin = 0.05 * max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
+    x0, y0 = xs[0] - margin, ys[0] - margin
+    x1, y1 = xs[-1] + margin, ys[-1] + margin
+    view = (
+        f"{_fmt(SCALE * x0)} {_fmt(-SCALE * y1)} "
+        f"{_fmt(SCALE * (x1 - x0))} {_fmt(SCALE * (y1 - y0))}"
+    )
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
+    ]
+    spans, nxt = [], []
+    for poly in polys:
+        a = len(nxt)
+        spans.append((a, a + len(poly)))
+        nxt += [*range(a + 1, a + len(poly)), a]
+    blocks = [block_of[lab] for lab in labels]
+    count, total = len(polys), len(nxt)
+    polygons, order = [], []
+    for t, ((a, b), lab, block) in enumerate(zip(spans, labels, blocks)):
+        label, fill = lab.replace("%", "%%"), palette_fill(palette, block).replace("%", "%%")
+        points = " ".join(["%s,%s"] * (b - a))
+        polygons.append(
+            f'<polygon id="tile-%s" data-label="{label}" data-block="{block}" '
+            f'points="{points}" fill="{fill}" stroke="none"/>'
+        )
+        order.append(t)
+        for p in range(count + a, count + b):
+            order += (p, p + total)
+    template, gather = "\n".join(polygons), itemgetter(*order)
+    fx, fy = [_fmt(SCALE * x) for x in xs], [_fmt(-SCALE * y) for y in ys]
+    x_text = [[fx[i] for i in row] for row in x_rows]
+    x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
+    y_text = [[fy[i] for i in row] for row in y_rows]
+    y_key = [[y_rank[i] for i in row] for row in y_rows]
+    edges: dict[int, list] = {}
+    k = 0
+    for xr, xt, xk in zip(x_rows, x_text, x_key):
+        for yr, yt, yk in zip(y_rows, y_text, y_key):
+            lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
+            k += count
+            for (a, b), block in zip(spans, blocks):
+                keys = list(map(add, xk[a:b], yk[a:b]))
+                for p, kp in enumerate(keys, a):
+                    kq = keys[p + 1 - b]
+                    key = kq * size + kp if kq < kp else kp * size + kq
+                    slot = edges.get(key)
+                    if slot is None:
+                        edges[key] = [block, 0, xr, yr, p, kq < kp]
+                    elif block != slot[0]:
+                        slot[1] = 2
+                    elif not slot[1]:
+                        slot[1] = 1
+    for key in sorted(edges):
+        _, seen, xr, yr, p, swapped = edges[key]
+        if seen != 1:
+            p, q = (nxt[p], p) if swapped else (p, nxt[p])
+            lines.append(
+                f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
+                'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
 class TestRendererOracle:
     """The renderer against the per-point reference above, byte for byte."""
 
@@ -245,6 +326,37 @@ class TestRendererOracle:
             assert render_svg(tm, blocks, "default", (4, 4)) == _reference_svg(
                 tm, blocks, "default", (4, 4)
             )
+
+    @pytest.mark.parametrize(
+        "cells",
+        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 3), (4, 4), (2, 5), (5, 3), (7, 1)],
+        ids=lambda cells: "%dx%d" % cells,
+    )
+    def test_census_specs_against_every_block_reference(self, cells):
+        # Edges classified on at most 3x3 blocks stroke exactly what the
+        # loop over every block strokes: every p4m_quotient:1 census entry
+        # and every type-1 entry of p4m_quotient:2.
+        for group, kinds in [(build_p4m_quotient(1), ("type1", "type2")),
+                             (build_p4m_quotient(2), ("type1",))]:
+            tm = p4m_tile_map(group)
+            census = enumerate_all_semiperfect(
+                group, H_filter=standard_color_groups(group), kinds=kinds
+            )
+            for entry in census.entries:
+                blocks = _spec_blocks(entry.spec)
+                assert render_svg(tm, blocks, "default", cells) == reference_render_svg(
+                    tm, blocks, "default", cells
+                )
+
+    def test_hexagon_specs_against_every_block_reference(self, d6, four_color_spec):
+        tm = hexagon_tile_map(d6)
+        census = enumerate_all_semiperfect(d6, H_filter=standard_color_groups(d6))
+        assert len(census.entries) == 25
+        for entry in census.entries:
+            blocks = _spec_blocks(entry.spec)
+            assert render_svg(tm, blocks) == reference_render_svg(tm, blocks)
+        blocks = _spec_blocks(four_color_spec)
+        assert render_svg(tm, blocks, "quad") == reference_render_svg(tm, blocks, "quad")
 
     @pytest.mark.parametrize("cells", [(1, 1), (2, 3)])
     def test_percent_signs_in_labels_and_fills(self, monkeypatch, cells):
