@@ -6,7 +6,6 @@ from .census import (
     ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
-    action_equivalence_check,
     conjugate_spec,
     count_semiperfect_type1,
     enumerate_all_semiperfect,
@@ -37,7 +36,6 @@ from .groups import (
     all_subgroups,
     build_dihedral,
     build_p4m_quotient,
-    conjugacy_class_reps_of_subgroups,
     generating_words,
     group_from_descriptor,
     left_coset_reps,
@@ -56,13 +54,10 @@ from .partitions import (
     OrbitTable,
     classify_type1,
     classify_type2,
-    classify_type2_with_reps,
     color_action,
     equivalence_class,
     equivalence_key,
-    equivalent,
     general_partition,
-    normalize_type1,
     orbit_table,
     partition_stabilizer,
     stabilized_by_whole_group,
@@ -77,6 +72,6 @@ from .presentations import (
 )
 from .render import PALETTES, render_svg
 from .tiles import TileMap, hexagon_tile_map, p4m_tile_map, transfer_coloring, transfer_table
-from .verify import run_verification
+from .verify import action_equivalence_check, run_verification
 
 __version__ = "0.1.0"

@@ -33,8 +33,9 @@ tables as their only argument, and the census, ``table1`` and ``verify``
 all call them by these names.  The blocks h*base are then one sort per
 representative (``_translates``).  A type-2 key is
 ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the left cosets of
-J and ``outside[J]`` the H-translates of y0*J, both built once per J.  The ``equivalenceKey`` text of a key joins one stored string
-per block.  ``table1`` numbers its cells by the same type-1 identity block
+J and ``outside[J]`` the H-translates of y0*J, both built once per J.
+The ``equivalenceKey`` text of a key joins one stored string per block.
+``table1`` numbers its cells by the same type-1 identity block
 (``_type1_base``), so it neither builds nor translates a partition.
 ``type1_partition`` and ``type2_partition`` are left to
 ``ColoringSpec.partition``, ``verify`` and the tests, and the translating
@@ -49,9 +50,11 @@ subgroup of K normal in H and y0 the smallest element outside H:
 * type 2: [H:J1] + [H:J2] colors in two orbits, kernel the intersection
   of core_H(J1) and core_H(y0*J2*y0^-1).
 
-``color_action``, ``orbit_table`` and ``partition_stabilizer``, which
-translate blocks, are the oracles that ``verify`` and the tests hold these
-closed forms against; the census never calls them.
+This module defines no brute-force oracle.  ``color_action``,
+``orbit_table`` and ``partition_stabilizer`` in ``partitions``, which
+translate blocks, and ``verify.action_equivalence_check`` are the oracles
+that ``verify`` and the tests hold these closed forms and the transport
+against; the census never calls them.
 
 ``Census.serialize`` writes the census JSON byte-identical to
 ``json.dumps(census.to_json(), indent=2, sort_keys=True)``, whose indenting
@@ -61,8 +64,8 @@ every element label, the group descriptor, and the label list of each
 distinct subgroup.  A value whose key sits d levels deep is the
 ``json.dumps`` text with every line break followed by d more indents; JSON
 text holds no raw newline elsewhere, so escaping stays ``json``'s own.
-``Census.to_json`` is kept as the oracle that ``verify`` and the tests hold
-the writer against.
+``Census.to_json`` is the plain structure whose ``json.dumps`` text
+``verify`` and the tests hold the writer against.
 """
 
 from __future__ import annotations
@@ -706,37 +709,6 @@ def conjugate_spec(spec: ColoringSpec, alpha: GroupAutomorphism) -> ColoringSpec
     if out.verdict() != spec.verdict():
         raise InvalidParameterError("conjugation changed the verdict")
     return out
-
-
-def action_equivalence_check(
-    H: Subgroup,
-    P: GroupPartition,
-    H2: Subgroup,
-    P2: GroupPartition,
-    alpha: GroupAutomorphism,
-) -> tuple[bool, tuple[int, ...]]:
-    """Verify that the color action of H on P matches that of H2 on P2.
-
-    The witness bijection sends block i of P to the block of P2 holding its
-    alpha-image; compatibility means alpha(h) acts on P2-blocks exactly as h
-    acts on P-blocks, for every h in H.
-    """
-    if alpha.apply_subgroup(H).members != H2.members:
-        raise InvalidParameterError("H2 is not the alpha-image of H")
-    imageP = alpha.apply_partition(P)
-    if imageP.blocks != P2.blocks:
-        raise InvalidParameterError("P2 is not the alpha-image of P")
-    block_to_index = {block: i for i, block in enumerate(P2.blocks)}
-    f = tuple(
-        block_to_index[tuple(sorted(alpha(e) for e in block))] for block in P.blocks
-    )
-    for h in H.members:
-        perm = P.permutation_induced_by(h)
-        perm2 = P2.permutation_induced_by(alpha(h))
-        for i in range(len(f)):
-            if perm2[f[i]] != f[perm[i]]:
-                return False, f
-    return True, f
 
 
 def _extend(

@@ -94,9 +94,6 @@ class SymmetryDiagram:
     glides: frozenset[tuple[tuple[int, int], Fraction]]
     centers: frozenset[tuple[Vec, int]]
 
-    def is_empty(self) -> bool:
-        return not (self.mirrors or self.glides or self.centers)
-
     def transformed(self, iso: PlanarIsometry) -> "SymmetryDiagram":
         """The diagram of the transformed isometry set: apply iso pointwise."""
         N = self.modulus
@@ -106,21 +103,6 @@ class SymmetryDiagram:
             (_reduce_point(iso.apply(p), N), order) for p, order in self.centers
         )
         return SymmetryDiagram(N, mirrors, glides, centers)
-
-    def to_json(self) -> dict:
-        def line_json(line):
-            (n, c) = line
-            return {"normal": list(n), "offset": str(c)}
-
-        return {
-            "modulus": self.modulus,
-            "mirrors": [line_json(l) for l in sorted(self.mirrors)],
-            "glides": [line_json(l) for l in sorted(self.glides)],
-            "centers": [
-                {"point": [str(p[0]), str(p[1])], "order": k}
-                for (p, k) in sorted(self.centers)
-            ],
-        }
 
 
 def _reduce_point(p: Vec, N: int) -> Vec:

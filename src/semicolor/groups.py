@@ -167,9 +167,6 @@ class FiniteGroup:
             orders.append(k)
         return tuple(orders)
 
-    def order_of(self, g: int) -> int:
-        return self.element_orders[g]
-
     @property
     def elements(self) -> range:
         return range(self.order)
@@ -694,14 +691,6 @@ def conjugacy_classes_of_subgroups(
                     queue.append(conj)
         classes.append(sorted(orbit.values(), key=lambda s: s.members))
     return sorted(classes, key=lambda c: (-c[0].order, c[0].members))
-
-
-def conjugacy_class_reps_of_subgroups(H: Subgroup, conjugators: Subgroup) -> list[Subgroup]:
-    """One representative (smallest member tuple) per conjugation orbit of
-    the subgroups of H, ordered by decreasing order then member tuple."""
-    H._check_ambient(conjugators)
-    classes = conjugacy_classes_of_subgroups(all_subgroups(H), conjugators)
-    return [cls[0] for cls in classes]
 
 
 def perfect_coset_count(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:

@@ -21,8 +21,12 @@ early-exit test, ``GroupPartition._block_image(g, Q)``: does g map each block
 of P into one block of Q?  With Q = P it decides whether g stabilizes P.
 ``orbit_table`` runs it for every g against each translate found so far, and
 a match proves gP = Q, because gP and Q have equally many blocks; the table
-gives ``equivalence_class``, ``equivalent`` and the stabilizer of every
-translate without building a translate per g.
+gives ``equivalence_class`` and the stabilizer of every translate without
+building a translate per g.
+
+No command calls the oracles or ``color_action``: only ``verify`` and the
+tests do.  They stay in this module because ``perfbench/tracing.py`` looks
+up its traced functions by module name.
 """
 
 from __future__ import annotations
@@ -288,15 +292,6 @@ def equivalence_class(P: GroupPartition, G: FiniteGroup) -> list[GroupPartition]
     return sorted(orbit_table(P, G).translates, key=lambda q: q.blocks)
 
 
-def equivalent(P: GroupPartition, Q: GroupPartition, G: FiniteGroup) -> int | None:
-    """Some g with gP = Q, or None; smallest witness wins."""
-    _require_partition_of(G, P)
-    _require_partition_of(G, Q)
-    if P.num_blocks != Q.num_blocks:
-        return None
-    return next((g for g in G.elements if P._block_image(g, Q) is not None), None)
-
-
 # -- fast classifiers ----------------------------------------------------------
 
 
@@ -333,21 +328,7 @@ def classify_type2(J1: Subgroup, J2: Subgroup, H: Subgroup) -> str:
     _require_index_two(H)
     _require_inside(J1, H, "J1")
     _require_inside(J2, H, "J2")
-    if J1.group is not J2.group:
-        raise InvalidParameterError("subgroups live in different ambient groups")
     return PERFECT if J1.members == J2.members else SEMIPERFECT
-
-
-def classify_type2_with_reps(J1: Subgroup, J2: Subgroup, y: int, H: Subgroup) -> str:
-    """Variant for the representative form ``{h*J1} u {h*J2*y}``.
-
-    That family equals the coset-family form with J2 replaced by its
-    y-inverse conjugate, so it is perfect iff J2 equals the conjugate of J1
-    by y.
-    """
-    if y in H:
-        raise InvalidParameterError("y must lie outside H")
-    return classify_type2(J1, J2.conjugated_by(H.group.inverse[y]), H)
 
 
 # -- the induced action on colors ----------------------------------------------
@@ -380,9 +361,6 @@ class ColorAction:
     permutations: tuple[tuple[int, ...], ...]  # aligned with H.members
     kernel: Subgroup
     classification: Classification
-
-    def permutation_of(self, h: int) -> tuple[int, ...]:
-        return self.permutations[self.H.members.index(h)]
 
 
 def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
@@ -426,54 +404,6 @@ def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
         color_perm_group_order=H.order // kernel.order,
     )
     return ColorAction(H, P, tuple(perms), kernel, cls)
-
-
-# -- canonical form for shifted one-orbit families -------------------------------
-
-
-@dataclass(frozen=True)
-class NormalizedTypeOne:
-    """Canonical data for a family ``{h * J^g * Y}``: a leading translation
-    and a plain (J', y') pair realizing the same partition."""
-
-    leading: int
-    J: Subgroup
-    y: int
-
-
-def normalize_type1(H: Subgroup, J: Subgroup, g: int, Y: tuple[int, int]) -> NormalizedTypeOne:
-    """Rewrite ``{h * (g J g^-1) * Y : h in H}`` as a translate of a plain
-    type-1 partition.
-
-    Steps: pull the conjugating element out front, shift by the H-member of
-    ``g^-1 Y`` so the representative pair becomes ``{e, y}``, then replace y
-    by the smallest member of its right J'-coset.  The rewritten family is
-    checked against the input exactly.
-    """
-    _require_index_two(H)
-    _require_inside(J, H)
-    group = H.group
-    table, inv = group.table, group.inverse
-    if len(set(Y)) != 2:
-        raise InvalidParameterError("Y must contain two distinct coset representatives")
-    shifted = [table[inv[g]][u] for u in Y]
-    inside = [u for u in shifted if u in H]
-    outside = [u for u in shifted if u not in H]
-    if len(inside) != 1 or len(outside) != 1:
-        raise InvalidParameterError("Y must represent both cosets of H exactly once")
-    x, y = inside[0], outside[0]
-    xi = inv[x]
-    J_prime = J.conjugated_by(xi)
-    target = table[xi][y]
-    y_prime = min(table[j][target] for j in J_prime.members)
-    leading = table[g][x]
-
-    # The rewrite must reproduce the input family exactly.
-    original = general_partition(H, [(J.conjugated_by(g), Y)])
-    rewritten = type1_partition(H, J_prime, y_prime).translated(leading)
-    if original.blocks != rewritten.blocks:
-        raise InvalidParameterError("normalization failed to reproduce the input family")
-    return NormalizedTypeOne(leading=leading, J=J_prime, y=y_prime)
 
 
 def smallest_outside(H: Subgroup) -> int:

@@ -31,7 +31,10 @@ coordinates, those of its class block (0 if first in its row or column, the
 last if last, else 1).  That is exact when rounding commutes with
 translation by the periods and tiles meet only tiles of adjacent blocks, as
 for p4m: every coordinate is a multiple of 1/2 plus an integer shift, and
-tiles reach 1/2 beyond their block of side N >= 1.  The hexagon never repeats.
+the tiles of a block span one period.  The hexagon never repeats.  Where the
+tiles span two periods or more on an axis (the drawn extent reaches count + 1
+periods), tiles can meet two blocks away, and every block on that axis is
+its own class.
 """
 
 from __future__ import annotations
@@ -147,11 +150,14 @@ def render_svg(
     x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
     y_text = [[fy[i] for i in row] for row in y_rows]
     y_key = [[y_rank[i] for i in row] for row in y_rows]
+    # Tiles spanning two periods on an axis meet tiles two blocks away
+    # there, so every block on that axis is its own class.
+    mc = m if xs[-1] - xs[0] >= (m + 1) * cx else min(m, 3)
+    nc = n if ys[-1] - ys[0] >= (n + 1) * cy else min(n, 3)
     # Edge slots on the class blocks: the first block drawn, then 0 not seen
     # again, 1 again with that block only, 2 with another; and the class
     # block first drawing it, with its start and is it the larger end.  Edges
     # seen once or with two blocks are stroked by that class's blocks.
-    mc, nc = min(m, 3), min(n, 3)
     edges: dict[int, list] = {}
     for ci, xk in enumerate(x_key[:mc]):
         for cj, yk in enumerate(y_key[:nc]):
@@ -172,7 +178,7 @@ def render_svg(
         if seen != 1:  # its ends (p, q), smaller key first
             owned.setdefault(c, []).append((nxt[p], p) if swapped else (p, nxt[p]))
     for i, (xr, xt, xk) in enumerate(zip(x_rows, x_text, x_key)):
-        ci = mc - 1 if i == m - 1 else min(i, 1)
+        ci = mc - 1 if i == m - 1 else min(i, mc - 2)
         for j, (yr, yt, yk) in enumerate(zip(y_rows, y_text, y_key)):
             lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
             k += count
@@ -180,7 +186,7 @@ def render_svg(
                 ((xk[p] + yk[p]) * size + xk[q] + yk[q],
                  f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
                  'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>')
-                for p, q in owned.get((ci, nc - 1 if j == n - 1 else min(j, 1)), ())
+                for p, q in owned.get((ci, nc - 1 if j == n - 1 else min(j, nc - 2)), ())
             ]
     lines += [line for _, line in sorted(drawn)]
     lines.append("</svg>")

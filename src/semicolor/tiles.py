@@ -29,12 +29,6 @@ class TileMap:
     base_label: str = "e"
     cell: tuple[float, float] | None = None  # lattice periods for repeating patterns
 
-    def to_json(self) -> dict:
-        return {
-            label: [[x, y] for x, y in poly]
-            for label, poly in sorted(self.domains.items())
-        }
-
 
 def _rot(theta: float) -> tuple[tuple[float, float], tuple[float, float]]:
     c, s = math.cos(theta), math.sin(theta)

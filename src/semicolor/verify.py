@@ -25,7 +25,8 @@ which names the translate gP for every g, and reads both the orbit and the
 stabilizer of each translate from it.  The perfect verdicts of
 ``one-orbit-oracle`` and ``two-orbit-oracle`` come from
 ``stabilized_by_whole_group``, which stops at the first g that splits a
-block.
+block.  ``conjugate-transport`` holds each transported entry against
+``action_equivalence_check``, the one oracle defined in this module.
 """
 
 from __future__ import annotations
@@ -39,15 +40,16 @@ from typing import Callable
 
 from .census import (
     ColorGroupTables,
+    GroupAutomorphism,
     enumerate_all_semiperfect,
     enumerate_type1,
     enumerate_type2,
     find_conjugating_automorphism,
     conjugate_spec,
-    action_equivalence_check,
     standard_color_groups,
     type1_cells,
 )
+from .errors import InvalidParameterError
 from .geometry import SymmetryDiagram, lift_quotient_element, symmetry_diagram
 from .groups import (
     FiniteGroup,
@@ -62,6 +64,7 @@ from .groups import (
 from .partitions import (
     PERFECT,
     SEMIPERFECT,
+    GroupPartition,
     classify_type1,
     classify_type2,
     color_action,
@@ -360,6 +363,37 @@ def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
             )
             suite.check(ok, lambda: f"transported action differs for {entry.key_string()}")
     suite.check(True, "transport sweep completed")
+
+
+def action_equivalence_check(
+    H: Subgroup,
+    P: GroupPartition,
+    H2: Subgroup,
+    P2: GroupPartition,
+    alpha: GroupAutomorphism,
+) -> tuple[bool, tuple[int, ...]]:
+    """Verify that the color action of H on P matches that of H2 on P2.
+
+    The witness bijection sends block i of P to the block of P2 holding its
+    alpha-image; compatibility means alpha(h) acts on P2-blocks exactly as h
+    acts on P-blocks, for every h in H.
+    """
+    if alpha.apply_subgroup(H).members != H2.members:
+        raise InvalidParameterError("H2 is not the alpha-image of H")
+    imageP = alpha.apply_partition(P)
+    if imageP.blocks != P2.blocks:
+        raise InvalidParameterError("P2 is not the alpha-image of P")
+    block_to_index = {block: i for i, block in enumerate(P2.blocks)}
+    f = tuple(
+        block_to_index[tuple(sorted(alpha(e) for e in block))] for block in P.blocks
+    )
+    for h in H.members:
+        perm = P.permutation_induced_by(h)
+        perm2 = P2.permutation_induced_by(alpha(h))
+        for i in range(len(f)):
+            if perm2[f[i]] != f[perm[i]]:
+                return False, f
+    return True, f
 
 
 def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):

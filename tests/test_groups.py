@@ -8,7 +8,6 @@ from semicolor.errors import InvalidParameterError, ResourceLimitError
 from semicolor.groups import (
     build_dihedral,
     build_p4m_quotient,
-    conjugacy_class_reps_of_subgroups,
     conjugacy_classes_of_subgroups,
     generating_words,
     group_from_descriptor,
@@ -82,9 +81,9 @@ class TestDihedral:
             d6.element("q2")
 
     def test_element_orders(self, d6):
-        assert d6.order_of(d6.element("a")) == 6
-        assert d6.order_of(d6.element("a3")) == 2
-        assert d6.order_of(d6.element("b")) == 2
+        assert d6.element_orders[d6.element("a")] == 6
+        assert d6.element_orders[d6.element("a3")] == 2
+        assert d6.element_orders[d6.element("b")] == 2
 
 
 class TestP4mQuotient:
@@ -409,7 +408,8 @@ class TestCosetsAndNormalizers:
 
 class TestConjugacyClasses:
     def test_class_representatives(self, d6, hexH):
-        reps = conjugacy_class_reps_of_subgroups(hexH, whole_group(d6))
+        classes = conjugacy_classes_of_subgroups(all_subgroups(hexH), whole_group(d6))
+        reps = [c[0] for c in classes]
         assert [generating_words(r) for r in reps] == ["<a^2,b>", "<a^2>", "<b>", "{e}"]
 
     def test_reflection_subgroups_fuse(self, d6, hexH):

@@ -329,7 +329,8 @@ class TestRendererOracle:
 
     @pytest.mark.parametrize(
         "cells",
-        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 3), (4, 4), (2, 5), (5, 3), (7, 1)],
+        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (3, 3), (4, 4), (2, 5), (5, 3), (7, 1),
+         (4, 1), (5, 1)],
         ids=lambda cells: "%dx%d" % cells,
     )
     def test_census_specs_against_every_block_reference(self, cells):
@@ -347,6 +348,18 @@ class TestRendererOracle:
                 assert render_svg(tm, blocks, "default", cells) == reference_render_svg(
                     tm, blocks, "default", cells
                 )
+        # Tile "b" spans two periods and meets "e" two blocks away, so no
+        # 3x3 classification holds: every block is its own class there.
+        domains = {
+            "e": ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0)),
+            "b": ((3.0, 0.0), (2.0, 0.0), (2.5, -1.0)),
+        }
+        tm = TileMap(pattern="test", group=build_dihedral(1), domains=domains, cell=(1.0, 1.0))
+        for blocks in [(0, 0), (0, 1)]:
+            block_of = dict(zip(("e", "b"), blocks))
+            assert render_svg(tm, block_of, "default", cells) == reference_render_svg(
+                tm, block_of, "default", cells
+            )
 
     def test_hexagon_specs_against_every_block_reference(self, d6, four_color_spec):
         tm = hexagon_tile_map(d6)
@@ -457,11 +470,3 @@ class TestPalettes:
         assert len(PALETTES["default"]) == 12
         assert len(PALETTES["quad"]) == 4
         assert all(c.startswith("#") for cols in PALETTES.values() for c in cols)
-
-
-class TestTileMapJson:
-    def test_label_to_polygon_mapping(self, d6):
-        data = hexagon_tile_map(d6).to_json()
-        assert set(data) == set(d6.labels)
-        assert data["e"][0] == [0.0, 0.0]
-        assert all(len(p) == 2 for poly in data.values() for p in poly)

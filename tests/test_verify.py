@@ -1,4 +1,6 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import semicolor.census
 import semicolor.verify
@@ -126,3 +128,26 @@ def test_diagram_soundness_computes_one_diagram_per_conjugate(monkeypatch):
     assert suite.passed
     assert suite.checks == 96
     assert conjugates and set(conjugates.values()) == {1}
+
+
+def test_production_modules_hold_no_oracle():
+    # The brute-force oracles live in partitions and verify; the modules a
+    # command runs neither define nor name one.
+    oracles = {
+        "partition_stabilizer", "stabilized_by_whole_group", "orbit_table",
+        "equivalence_class", "equivalent", "color_action", "equivalence_key",
+        "action_equivalence_check",
+    }
+    src = Path(semicolor.census.__file__).parent
+    for module in ("census", "cli", "groups", "geometry", "presentations", "render", "tiles"):
+        names = set()
+        for node in ast.walk(ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name.rpartition(".")[2], node.asname})
+        assert not names & oracles, f"{module} names {sorted(names & oracles)}"
