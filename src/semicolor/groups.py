@@ -251,10 +251,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.members)
 
-    @property
-    def index(self) -> int:
-        return self.group.order // len(self.members)
-
     def is_subset_of(self, other: "Subgroup") -> bool:
         self._check_ambient(other)
         return self.mask & ~other.mask == 0
@@ -642,14 +638,18 @@ def left_coset_reps(H: Subgroup, K: Subgroup) -> list[int]:
     return reps
 
 
+def _require_index_two(H: Subgroup):
+    if 2 * H.order != H.group.order:
+        raise InvalidParameterError("the color group H must have index 2")
+
+
 def right_coset_reps_outside(J: Subgroup, G: FiniteGroup, H: Subgroup) -> list[int]:
     """Smallest representative of each right coset of J inside G minus H."""
     if J.group is not G or H.group is not G:
         raise InvalidParameterError("subgroups live in different ambient groups")
     if not J.is_subset_of(H):
         raise InvalidParameterError("J must be contained in H")
-    if 2 * H.order != G.order:
-        raise InvalidParameterError("H must have index 2")
+    _require_index_two(H)
     seen: set[int] = set()
     reps = []
     for g in H.complement():

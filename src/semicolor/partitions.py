@@ -17,11 +17,14 @@ cases:
 Fast classifiers decide perfect versus semiperfect from (J, r) or (J1, J2)
 alone; ``partition_stabilizer`` and ``stabilized_by_whole_group`` are the
 brute-force oracles they are tested against.  Every oracle rests on one
-early-exit test, ``GroupPartition._block_image(g, Q)``: does g map each block
-of P into one block of Q?  With Q = P it decides whether g stabilizes P.
-``orbit_table`` runs it for every g against each translate found so far, and
-a match proves gP = Q, because gP and Q have equally many blocks; the table
-gives ``equivalence_class`` and the stabilizer of every translate without
+early-exit test, ``GroupPartition._block_image(images, Q)``: does the
+element map ``images`` send each block of P into one block of Q?  The map
+is a table row ``table[g]`` for left translation by g, or the images of an
+automorphism (``verify.action_equivalence_check``).  With Q = P and a
+table row it decides whether g stabilizes P.  ``orbit_table`` runs it for
+every g against each translate found so far, and a match proves gP = Q,
+because gP and Q have equally many blocks; the table gives
+``equivalence_class`` and the stabilizer of every translate without
 building a translate per g.
 
 No command calls the oracles or ``color_action``: only ``verify`` and the
@@ -36,7 +39,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotAPartitionError
-from .groups import FiniteGroup, Subgroup, left_coset_reps
+from .groups import FiniteGroup, Subgroup, _require_index_two, left_coset_reps
 
 PERFECT = "perfect"
 SEMIPERFECT = "semiperfect"
@@ -84,34 +87,36 @@ class GroupPartition:
             self.group, tuple(sorted([tuple(sorted([row[e] for e in b])) for b in self.blocks]))
         )
 
-    def _block_image(self, g: int, onto: "GroupPartition | None" = None) -> list[int] | None:
-        """Where left translation by g sends each block index of this
-        partition among the blocks of ``onto`` (default: this partition), or
-        None as soon as some block is split.
+    def _block_image(
+        self, images: Sequence[int], onto: "GroupPartition | None" = None
+    ) -> list[int] | None:
+        """Where the element map e -> ``images[e]`` (a table row ``table[g]``
+        for left translation by g, or ``GroupAutomorphism.images``) sends
+        each block index of this partition among the blocks of ``onto``
+        (default: this partition), or None as soon as some block is split.
 
         Each block must land inside the block of ``onto`` that holds its
-        first member's image.  When both partitions have equally many
-        blocks, a full image proves g*P == onto: the translated blocks are
-        then each inside one block of ``onto`` and cover the group, so they
-        are its blocks.
+        first member's image.  For a bijection and equally many blocks, a
+        full image proves that the mapped partition is ``onto``: the mapped
+        blocks are then each inside one block of ``onto`` and cover the
+        group, so they are its blocks.
         """
-        row = self.group.table[g]
         bid = (self if onto is None else onto).block_of
         image = []
         for block in self.blocks:
-            dst = bid[row[block[0]]]
+            dst = bid[images[block[0]]]
             for e in block:
-                if bid[row[e]] != dst:
+                if bid[images[e]] != dst:
                     return None
             image.append(dst)
         return image
 
     def is_stabilized_by(self, g: int) -> bool:
-        return self._block_image(g) is not None
+        return self._block_image(self.group.table[g]) is not None
 
     def permutation_induced_by(self, g: int) -> tuple[int, ...]:
         """Block-index permutation of left translation by g."""
-        image = self._block_image(g)
+        image = self._block_image(self.group.table[g])
         if image is None:
             raise InvalidParameterError(
                 f"{self.group.labels[g]} does not map blocks onto blocks"
@@ -147,11 +152,6 @@ def _validate_partition(group: FiniteGroup, blocks: Sequence[tuple[int, ...]]):
     if len(seen) != group.order:
         missing = [group.labels[e] for e in group.elements if e not in seen]
         raise NotAPartitionError(f"blocks do not cover the group; missing {missing}")
-
-
-def _require_index_two(H: Subgroup):
-    if 2 * H.order != H.group.order:
-        raise InvalidParameterError("the color group H must have index 2")
 
 
 def _require_partition_of(G: FiniteGroup, P: GroupPartition):
@@ -276,8 +276,9 @@ def orbit_table(P: GroupPartition, G: FiniteGroup) -> OrbitTable:
     first: list[int] = []
     index: list[int] = []
     for g in G.elements:
+        row = G.table[g]
         for i, Q in enumerate(translates):
-            if P._block_image(g, Q) is not None:
+            if P._block_image(row, Q) is not None:
                 break
         else:
             i = len(translates)

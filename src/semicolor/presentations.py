@@ -72,13 +72,6 @@ class Presentation:
             out.append(acc)
         return out
 
-    def to_json(self) -> dict:
-        return {"generators": list(self.generators), "relators": list(self.relators)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Presentation":
-        return cls(tuple(data["generators"]), tuple(data["relators"]))
-
 
 # The square-lattice wallpaper presentation on a quarter turn a, a mirror b
 # and unit translations x, y:

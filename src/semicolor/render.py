@@ -31,10 +31,11 @@ coordinates, those of its class block (0 if first in its row or column, the
 last if last, else 1).  That is exact when rounding commutes with
 translation by the periods and tiles meet only tiles of adjacent blocks, as
 for p4m: every coordinate is a multiple of 1/2 plus an integer shift, and
-the tiles of a block span one period.  The hexagon never repeats.  Where the
-tiles span two periods or more on an axis (the drawn extent reaches count + 1
-periods), tiles can meet two blocks away, and every block on that axis is
-its own class.
+the tiles of a block span one period.  The hexagon never repeats.  Every
+block on an axis is its own class where either fails there: where the tiles
+span two periods or more (the drawn extent reaches count + 1 periods), or
+where the rounded ranks are not periodic (a value's rank in shift i is not
+its rank in shift 0 plus i times one step D).
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def render_svg(
 
     labels = [tile_map.group.labels[g] for g in tile_map.group.elements]
     polys = [tile_map.domains[lab] for lab in labels]
-    xs, x_rank, x_rows = _axis([x for poly in polys for x, _ in poly], m, cx)
-    ys, y_rank, y_rows = _axis([y for poly in polys for _, y in poly], n, cy)
+    xs, x_rank, x_rows, mc = _axis([x for poly in polys for x, _ in poly], m, cx)
+    ys, y_rank, y_rows, nc = _axis([y for poly in polys for _, y in poly], n, cy)
     ny = y_rank[-1] + 1
     size = (x_rank[-1] + 1) * ny
 
@@ -150,10 +151,6 @@ def render_svg(
     x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
     y_text = [[fy[i] for i in row] for row in y_rows]
     y_key = [[y_rank[i] for i in row] for row in y_rows]
-    # Tiles spanning two periods on an axis meet tiles two blocks away
-    # there, so every block on that axis is its own class.
-    mc = m if xs[-1] - xs[0] >= (m + 1) * cx else min(m, 3)
-    nc = n if ys[-1] - ys[0] >= (n + 1) * cy else min(n, 3)
     # Edge slots on the class blocks: the first block drawn, then 0 not seen
     # again, 1 again with that block only, 2 with another; and the class
     # block first drawing it, with its start and is it the larger end.  Edges
@@ -197,12 +194,23 @@ def _axis(values, count, period):
     """One axis of a render, from every tile coordinate on it in drawing order.
 
     Returns the distinct drawn values (a coordinate plus i*period for i in
-    range(count)) in order, the rank of each one's 6-place rounding, and per
-    shift i the coordinates as indices into the drawn values.
+    range(count)) in order, the rank of each one's 6-place rounding, per
+    shift i the coordinates as indices into the drawn values, and the number
+    of block classes on the axis: min(count, 3), or count when tiles can
+    meet two blocks away or the ranks are not periodic.
     """
-    shifted = [{v: v + i * period for v in set(values)} for i in range(count)]
+    distinct = list(set(values))
+    shifted = [{v: v + i * period for v in distinct} for i in range(count)]
     drawn = sorted({v for row in shifted for v in row.values()})
     index = {v: i for i, v in enumerate(drawn)}
     rounded = [round(v, 6) for v in drawn]
     rank = {r: i for i, r in enumerate(sorted(set(rounded)))}
-    return drawn, [rank[r] for r in rounded], [[index[row[v]] for v in values] for row in shifted]
+    ranks = [rank[r] for r in rounded]
+    base, *rest = [[ranks[index[row[v]]] for v in distinct] for row in shifted]
+    d = rest[0][0] - base[0] if rest else 0
+    periodic = all(
+        r == r0 + i * d for i, row in enumerate(rest, 1) for r, r0 in zip(row, base)
+    )
+    spans_two = drawn[-1] - drawn[0] >= (count + 1) * period
+    classes = min(count, 3) if periodic and not spans_two else count
+    return drawn, ranks, [[index[row[v]] for v in values] for row in shifted], classes

@@ -25,8 +25,9 @@ which names the translate gP for every g, and reads both the orbit and the
 stabilizer of each translate from it.  The perfect verdicts of
 ``one-orbit-oracle`` and ``two-orbit-oracle`` come from
 ``stabilized_by_whole_group``, which stops at the first g that splits a
-block.  ``conjugate-transport`` holds each transported entry against
-``action_equivalence_check``, the one oracle defined in this module.
+block.  ``conjugate-transport`` holds each entry that ``conjugate_spec``
+maps against ``action_equivalence_check``, the one oracle defined in this
+module, which reads its witness from the element-map test.
 """
 
 from __future__ import annotations
@@ -358,10 +359,12 @@ def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
                 moved.verdict() == entry.spec.verdict(),
                 lambda: f"transport changed verdict for {entry.key_string()}",
             )
-            ok, _ = action_equivalence_check(
-                entry.spec.H, entry.spec.partition, moved.H, moved.partition, alpha
+            suite.check(
+                action_equivalence_check(
+                    entry.spec.H, entry.spec.partition, moved.H, moved.partition, alpha
+                ),
+                lambda: f"transported action differs for {entry.key_string()}",
             )
-            suite.check(ok, lambda: f"transported action differs for {entry.key_string()}")
     suite.check(True, "transport sweep completed")
 
 
@@ -371,29 +374,26 @@ def action_equivalence_check(
     H2: Subgroup,
     P2: GroupPartition,
     alpha: GroupAutomorphism,
-) -> tuple[bool, tuple[int, ...]]:
+) -> bool:
     """Verify that the color action of H on P matches that of H2 on P2.
 
-    The witness bijection sends block i of P to the block of P2 holding its
-    alpha-image; compatibility means alpha(h) acts on P2-blocks exactly as h
-    acts on P-blocks, for every h in H.
+    ``P._block_image(alpha.images, P2)`` is both the image test and the
+    witness bijection f: it sends block i of P to the block of P2 holding
+    its alpha-image, and with equally many blocks it proves P2 = alpha(P).
+    Compatibility means alpha(h) acts on P2-blocks exactly as h acts on
+    P-blocks, for every h in H.
     """
     if alpha.apply_subgroup(H).members != H2.members:
         raise InvalidParameterError("H2 is not the alpha-image of H")
-    imageP = alpha.apply_partition(P)
-    if imageP.blocks != P2.blocks:
+    f = P._block_image(alpha.images, P2)
+    if f is None or P2.num_blocks != P.num_blocks:
         raise InvalidParameterError("P2 is not the alpha-image of P")
-    block_to_index = {block: i for i, block in enumerate(P2.blocks)}
-    f = tuple(
-        block_to_index[tuple(sorted(alpha(e) for e in block))] for block in P.blocks
-    )
     for h in H.members:
         perm = P.permutation_induced_by(h)
         perm2 = P2.permutation_induced_by(alpha(h))
-        for i in range(len(f)):
-            if perm2[f[i]] != f[perm[i]]:
-                return False, f
-    return True, f
+        if any(perm2[f[i]] != f[perm[i]] for i in range(len(f))):
+            return False
+    return True
 
 
 def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):

@@ -583,8 +583,52 @@ class TestAutomorphisms:
 
     def test_identity_transport(self, d6, hexH):
         spec = ColoringSpec.type1(hexH, subgroup_from_words(d6, "b"), d6.element("a"))
-        moved = conjugate_spec(spec, GroupAutomorphism.identity(d6))
+        identity = GroupAutomorphism.from_generator_images(d6, {"a": "a", "b": "b"})
+        moved = conjugate_spec(spec, identity)
         assert moved.partition.blocks == spec.partition.blocks
+
+    def test_transport_maps_partition_and_keeps_verdict(self, d6):
+        # conjugate_spec only maps the recipe; the partition it realizes is
+        # the blockwise image of the original under every automorphism of
+        # D6, and the verdict is unchanged, on both hexagon censuses.
+        autos = []
+        for img_a in d6.elements:
+            for img_b in d6.elements:
+                try:
+                    autos.append(
+                        GroupAutomorphism.from_generator_images(d6, {"a": img_a, "b": img_b})
+                    )
+                except InvalidParameterError:
+                    continue
+        assert len(autos) == 12
+        entries = enumerate_all_semiperfect(d6, H_filter=standard_color_groups(d6)).entries
+        assert len(entries) == 25
+        for alpha in autos:
+            for entry in entries:
+                moved = conjugate_spec(entry.spec, alpha)
+                image = sorted(
+                    tuple(sorted(alpha(e) for e in block)) for block in entry.spec.partition.blocks
+                )
+                assert moved.partition.blocks == tuple(image)
+                assert moved.verdict() == entry.spec.verdict() == SEMIPERFECT
+
+    def test_action_equivalence_check_rejects_non_images(self, d6, hexH, hexH_rot):
+        alpha = GroupAutomorphism.from_generator_images(d6, {"a": "a5", "b": "ab"})
+        spec = ColoringSpec.type2(hexH, subgroup_from_words(d6, "a2b"), hexH)
+        moved = conjugate_spec(spec, alpha)
+        P, H2, P2 = spec.partition, moved.H, moved.partition
+        assert action_equivalence_check(hexH, P, H2, P2, alpha)
+        with pytest.raises(InvalidParameterError, match="H2 is not the alpha-image of H"):
+            action_equivalence_check(hexH, P, hexH_rot, P2, alpha)
+        # A partition some alpha-image block splits, and a coarser one that
+        # every alpha-image block maps into: H2 and its complement.
+        split = conjugate_spec(ColoringSpec.type2(hexH, hexH, subgroup_from_words(d6, "b")), alpha)
+        coarser = GroupPartition.from_blocks(d6, [H2.members, H2.complement()])
+        assert P._block_image(alpha.images, split.partition) is None
+        assert P._block_image(alpha.images, coarser) is not None
+        for wrong in (split.partition, coarser):
+            with pytest.raises(InvalidParameterError, match="P2 is not the alpha-image of P"):
+                action_equivalence_check(hexH, P, H2, wrong, alpha)
 
     def test_verdicts_preserved_across_census(self, d6, hexH):
         alpha = GroupAutomorphism.from_generator_images(d6, {"a": "a5", "b": "ab"})
@@ -599,10 +643,7 @@ class TestAutomorphisms:
             hexH, subgroup_from_words(d6, "a2b"), hexH, d6.element("a3")
         )
         moved = conjugate_spec(spec, alpha)
-        ok, f = action_equivalence_check(
-            hexH, spec.partition, moved.H, moved.partition, alpha
-        )
-        assert ok
+        assert action_equivalence_check(hexH, spec.partition, moved.H, moved.partition, alpha)
         # Every element pairs with its image: same cycle structure on blocks.
         for h in hexH.members:
             perm = spec.partition.permutation_induced_by(h)

@@ -21,10 +21,6 @@ class TestPresentationValidation:
         with pytest.raises(InvalidParameterError):
             Presentation(("ab",), ())
 
-    def test_json_round_trip(self):
-        P = builtin_presentation("p4m")
-        assert Presentation.from_json(P.to_json()) == P
-
     def test_unknown_builtin(self):
         with pytest.raises(InvalidParameterError):
             builtin_presentation("p6m")
