@@ -77,12 +77,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 from .groups import (
     FiniteGroup,
     Subgroup,
-    MAX_SEARCH_ORDER,
     _require_index_two,
+    check_search_order,
     conjugacy_classes_of_subgroups,
     generating_words,
     left_coset_reps,
@@ -738,10 +738,7 @@ def find_conjugating_automorphism(
     homomorphisms onto Z/2, so two that agree on the generators agree on
     their span.  Returns None when no automorphism carries H onto H2.
     """
-    if G.order > MAX_SEARCH_ORDER:
-        raise ResourceLimitError(
-            f"group order {G.order} exceeds the automorphism-search bound {MAX_SEARCH_ORDER}"
-        )
+    check_search_order(G.order, "automorphism-search")
     _require_index_two(H)
     if H.order != H2.order:
         return None

@@ -62,11 +62,19 @@ def _check_table_order(order: int) -> None:
         )
 
 
+def check_search_order(order: int, search: str) -> None:
+    if order > MAX_SEARCH_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the {search} bound {MAX_SEARCH_ORDER}"
+        )
+
+
 _WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
 
 
 class FiniteGroup:
-    """A finite group with full multiplication and inverse lookup tables."""
+    """A finite group with full multiplication and inverse lookup tables;
+    construction checks every group axiom but associativity."""
 
     def __init__(
         self,
@@ -94,6 +102,10 @@ class FiniteGroup:
 
     def _validate_table(self):
         n = self.order
+        if len(self.table) != n:
+            raise InvalidParameterError(f"multiplication table has {len(self.table)} rows, not {n}")
+        if any(g not in range(n) for g in self.generators.values()):
+            raise InvalidParameterError(f"generators {self.generators} are not all element indices")
         full = set(range(n))
         for i, row in enumerate(self.table):
             if len(row) != n or set(row) != full:
@@ -117,23 +129,16 @@ class FiniteGroup:
         return inv
 
     def check_associativity(self) -> bool:
-        """Exhaustive check up to 200 elements, 20000 sampled triples above."""
-        n = self.order
-        mul = self.table
-        if n <= 200:
-            triples: Iterable[tuple[int, int, int]] = (
-                (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-            )
-        else:
-            import random
-
-            rng = random.Random(0)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000)
-            )
-        for a, b, c in triples:
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                return False
+        """Light's test, exact at every order: ``(x*s)*y == x*(s*y)`` for all
+        x, y and each s of a generating set S.  The s that pass are closed
+        under products, as (x*(s*t))*y = ((x*s)*t)*y = (x*s)*(t*y) =
+        x*(s*(t*y)) = x*((s*t)*y), so every element passes: order^2*|S| lookups."""
+        table = self.table
+        for s in _greedy_generators(whole_group(self)):
+            s_row = table[s]
+            for row in table:  # row of x: x*(s*y) against row of x*s at y
+                if tuple(map(row.__getitem__, s_row)) != table[row[s]]:
+                    return False
         return True
 
     # -- basic arithmetic ----------------------------------------------------
@@ -224,17 +229,12 @@ class Subgroup:
 
     @classmethod
     def from_members(cls, group: FiniteGroup, members: Iterable[int]) -> "Subgroup":
-        elems = sorted(set(members))
-        sub = cls(group, tuple(elems))
-        if not sub.is_closed():
+        """The subgroup of exactly ``members``, if the closure walk adds none."""
+        elems = tuple(sorted(set(members)))
+        sub = subgroup_generated(group, elems)
+        if sub.members != elems:
             raise InvalidParameterError("member set is not closed under the group operation")
         return sub
-
-    def is_closed(self) -> bool:
-        g, mem = self.group, self.member_set
-        if g.identity not in mem:
-            return False
-        return all(g.table[a][b] in mem and g.inverse[a] in mem for a in mem for b in mem)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -598,10 +598,8 @@ def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]
         raise InvalidParameterError("index bound must be a positive integer")
     group, n = universe.group, universe.order
     two_group = n & (n - 1) == 0
-    if group.order > MAX_SEARCH_ORDER and (bound >= n or not two_group):
-        raise ResourceLimitError(
-            f"group order {group.order} exceeds the subgroup-enumeration bound {MAX_SEARCH_ORDER}"
-        )
+    if bound >= n or not two_group:
+        check_search_order(group.order, "subgroup-enumeration")
     if two_group:
         found = {universe.members: universe}
         walk = [universe]

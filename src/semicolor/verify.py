@@ -56,6 +56,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     all_subgroups,
+    check_search_order,
     perfect_coset_count,
     subgroup_generated,
     subgroups_of_index,
@@ -136,6 +137,9 @@ def _timed(suite: Suite, fn):
 
 
 def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationReport:
+    # Above the bound the lattice walk or conjugate-transport's search would
+    # refuse G after other suites ran; refuse it before any suite runs.
+    check_search_order(G.order, "automorphism-search")
     color_groups = subgroups_of_index(G, 2)
     if not exhaustive and G.order > 16:
         preferred = standard_color_groups(G)

@@ -6,6 +6,7 @@ import pytest
 from semicolor import groups
 from semicolor.errors import InvalidParameterError, ResourceLimitError
 from semicolor.groups import (
+    FiniteGroup,
     build_dihedral,
     build_p4m_quotient,
     conjugacy_classes_of_subgroups,
@@ -167,6 +168,77 @@ def naive_closure(group, seed):
         if not new:
             return tuple(sorted(members))
         members |= new
+
+
+def triple_loop_associative(group):
+    """Independent oracle: every triple (a, b, c) of the table."""
+    t, n = group.table, group.order
+    return all(
+        t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def swapped_subsquare(group, rows, cols):
+    """The group's table with the 2x2 Latin subsquare at ``rows`` x ``cols``
+    swapped, as a FiniteGroup: still a Latin square with the same identity
+    and inverses when no row, column or value is the identity."""
+    t = [list(row) for row in group.table]
+    (r1, r2), (c1, c2) = rows, cols
+    assert t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+    t[r1][c1], t[r1][c2] = t[r1][c2], t[r1][c1]
+    t[r2][c1], t[r2][c2] = t[r2][c2], t[r2][c1]
+    return FiniteGroup(group.labels, t, group.generators, group.descriptor)
+
+
+class TestGroupTables:
+    @pytest.mark.parametrize(
+        "name", [f"dihedral:{n}" for n in range(1, 25)] + [f"p4m_quotient:{N}" for N in (1, 2, 3)]
+    )
+    def test_light_test_equals_triple_loop(self, name):
+        group = group_from_descriptor(parse_group_arg(name))
+        assert group.check_associativity() is triple_loop_associative(group) is True
+
+    def test_light_test_equals_triple_loop_on_swapped_tables(self):
+        # Every 2x2 Latin subsquare away from the identity, swapped: each
+        # swap of these tables breaks associativity, and both tests see it.
+        swaps = 0
+        for group in [build_dihedral(n) for n in range(3, 9)] + [build_p4m_quotient(1)]:
+            t, e = group.table, group.identity
+            for r1, r2 in combinations(range(group.order), 2):
+                for c1, c2 in combinations(range(group.order), 2):
+                    if e in (r1, r2, c1, c2, t[r1][c1], t[r1][c2]):
+                        continue
+                    if t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]:
+                        bad = swapped_subsquare(group, (r1, r2), (c1, c2))
+                        assert bad.check_associativity() is triple_loop_associative(bad) is False
+                        swaps += 1
+        assert swaps == 6 + 30 + 60 + 140 + 210 + 378 + 30
+
+    def test_rejects_order_five_loop(self):
+        rows = ["01234", "10342", "24013", "32401", "43120"]
+        loop = FiniteGroup(list("01234"), [[int(c) for c in r] for r in rows], {"a": 1}, {})
+        assert loop.identity == 0
+        assert not loop.check_associativity()
+
+    def test_rejects_a_swap_that_sampled_triples_miss(self):
+        # 20,000 triples drawn by random.Random(0) miss every failing triple here.
+        d = build_dihedral(128)
+        e = d.element
+        bad = swapped_subsquare(d, (e("a127b"), e("a121")), (e("a122b"), e("a12")))
+        assert {bad.table[e("a121")][e("a12")], bad.table[e("a127b")][e("a12")]} == {
+            e("a115b"), e("a5")
+        }
+        a, a120, a12 = e("a"), e("a120"), e("a12")
+        assert bad.table[bad.table[a][a120]][a12] != bad.table[a][bad.table[a120][a12]]
+        assert not bad.check_associativity()
+
+    def test_rejects_more_rows_than_labels(self):
+        with pytest.raises(InvalidParameterError, match="3 rows"):
+            FiniteGroup(["e", "t"], [[0, 1], [1, 0], [1, 0]], {"t": 1}, {})
+
+    def test_rejects_generator_outside_the_group(self):
+        with pytest.raises(InvalidParameterError, match="'t'"):
+            FiniteGroup(["e", "t"], [[0, 1], [1, 0]], {"t": 5}, {})
 
 
 class TestClosure:
@@ -566,3 +638,10 @@ class TestDescriptors:
         assert Subgroup.from_members(
             d6, [d6.element(w) for w in hexH.label_list()]
         ).members == hexH.members
+
+    def test_from_members_rejects_non_subgroups(self, d6, hexH):
+        for members in ([], [d6.element("a")], list(hexH.members) + [d6.element("a")]):
+            with pytest.raises(InvalidParameterError, match="not closed"):
+                Subgroup.from_members(d6, members)
+        with pytest.raises(InvalidParameterError, match="unknown element index"):
+            Subgroup.from_members(d6, list(hexH.members) + [d6.order])

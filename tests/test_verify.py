@@ -2,8 +2,11 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import semicolor.census
 import semicolor.verify
+from semicolor.errors import ResourceLimitError
 from semicolor.groups import Subgroup, build_dihedral, build_p4m_quotient, subgroups_of_index
 from semicolor.verify import Suite, run_verification
 
@@ -151,3 +154,14 @@ def test_production_modules_hold_no_oracle():
             elif isinstance(node, ast.alias):
                 names.update({node.name.rpartition(".")[2], node.asname})
         assert not names & oracles, f"{module} names {sorted(names & oracles)}"
+
+
+def test_refuses_groups_above_the_search_bound_before_any_suite(monkeypatch):
+    # dihedral:512 (order 1,024) is a 2-group, so the sweep's lattice walk
+    # accepts it; only conjugate-transport's automorphism search refuses it.
+    called = []
+    for name in [n for n in vars(semicolor.verify) if n.startswith("_suite_")]:
+        monkeypatch.setattr(semicolor.verify, name, lambda *args, name=name: called.append(name))
+    with pytest.raises(ResourceLimitError, match="automorphism-search bound 512"):
+        run_verification(build_dihedral(512))
+    assert called == []
