@@ -60,7 +60,9 @@ automorphism, and builds no partition and computes no verdict.
 
 ``Census.serialize`` writes the census JSON byte-identical to
 ``json.dumps(census.to_json(), indent=2, sort_keys=True)``, whose indenting
-encoder is pure Python, without calling it on the entries.  Each entry is
+encoder is pure Python, without calling it on the entries; it joins
+``Census.chunks``, one piece per entry, which ``enumerate --out`` writes to
+the file as they come, so the document is never held whole.  Each entry is
 a fixed frame, keys in sorted order, joining text encoded once per census:
 every element label, the group descriptor, and the label list of each
 distinct subgroup.  A value whose key sits d levels deep is the
@@ -75,7 +77,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidParameterError
 from .groups import (
@@ -455,7 +457,13 @@ class Census:
 
     def serialize(self) -> str:
         """``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
-        joined from text encoded once per census (see the module docstring)."""
+        joined from ``chunks``."""
+        return "".join(self.chunks())
+
+    def chunks(self) -> Iterator[str]:
+        """The text of ``serialize`` in pieces, built from text encoded once
+        per census (see the module docstring): the head through
+        ``"entries": ``, one piece per entry, then the tail."""
         labels = [json.dumps(label) for label in self.group.labels]
         group = _indented(self.group.descriptor, 4)
         lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
@@ -466,7 +474,8 @@ class Census:
                 text = lists[S.members] = _indented(S.label_list(), 4)
             return text
 
-        entries = []
+        yield f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n  "entries": '
+        opening = "[\n"
         for e in self.entries:
             s, c = e.spec, e.classification
             if s.kind == "type1":
@@ -475,22 +484,20 @@ class Census:
             else:
                 head = f'"J1": {members(s.J1)},\n        "J2": {members(s.J2)}'
                 tail = f'"y": {labels[s.y]}'
-            entries.append(
-                _ENTRY.format(
-                    c=c,
-                    key=json.dumps(e.key_string()),
-                    H=members(s.H),
-                    head=head,
-                    group=group,
-                    kind=json.dumps(s.kind),
-                    tail=tail,
-                    verdict=json.dumps(c.verdict),
-                )
+            yield opening + _ENTRY.format(
+                c=c,
+                key=json.dumps(e.key_string()),
+                H=members(s.H),
+                head=head,
+                group=group,
+                kind=json.dumps(s.kind),
+                tail=tail,
+                verdict=json.dumps(c.verdict),
             )
-        listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-        return (
-            f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n'
-            f'  "entries": {listed},\n'
+            opening = ",\n"
+        closing = "\n  ]" if self.entries else "[]"
+        yield (
+            f'{closing},\n'
             f'  "group": {_indented(self.group.descriptor, 1)},\n'
             f'  "notes": {_indented(self.notes, 1)},\n'
             f'  "total": {json.dumps(self.total)}\n}}\n'

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .census import (
     ColoringSpec,
@@ -131,15 +132,19 @@ def _conjugate_args(p):
     p.add_argument("--out", help="write the conjugated spec JSON here")
 
 
-def _emit(text: str, out: str | None):
-    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None.
+def _emit(text: str | Iterable[str], out: str | None):
+    """Write ``text``, one string or an iterable of pieces, to the file
+    ``out``, or to stdout when ``out`` is None.
 
-    Every command writes through here, so an unwritable path exits 2."""
-    if not out:
-        sys.stdout.write(text)
+    Every command writes through here, so an unwritable path, the empty
+    one included, exits 2, also when the write fails part-way."""
+    pieces = (text,) if isinstance(text, str) else text
+    if out is None:
+        sys.stdout.writelines(pieces)
         return
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -185,10 +190,14 @@ def cmd_enumerate(args) -> int:
             raise InvalidParameterError(
                 f"color group <{','.join(H.label_list())}> does not have index 2"
             )
-    if args.out:  # fail before the long run on a path _emit could not write
-        out = Path(args.out)
-        if out.is_dir() or not out.parent.is_dir():
-            reason = "Is a directory" if out.is_dir() else f"{out.parent} is not a directory"
+    if args.out is not None:  # fail before the long run on a path _emit could not write
+        out = Path(args.out)  # Path("") is the working directory
+        if not args.out or out.is_dir() or not out.parent.is_dir():
+            reason = (
+                "No such file or directory" if not args.out
+                else "Is a directory" if out.is_dir()
+                else f"{out.parent} is not a directory"
+            )
             raise InvalidParameterError(f"cannot write {args.out}: {reason}")
     kinds = {"1": ("type1",), "2": ("type2",), "all": ("type1", "type2")}[args.type]
     census = enumerate_all_semiperfect(
@@ -197,8 +206,8 @@ def cmd_enumerate(args) -> int:
         kinds=kinds,
         max_colors=args.max_colors,
     )
-    if args.out:
-        _emit(census.serialize() if args.format == "json" else _census_csv(census), args.out)
+    if args.out is not None:
+        _emit(census.chunks() if args.format == "json" else _census_csv(census), args.out)
     for (h_key, kind), count in sorted(census.by_part.items()):
         print(f"{h_key} {kind}: {count}")
     for note in census.notes:
@@ -207,8 +216,9 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _census_csv(census) -> str:
-    lines = ["H,kind,detail,numColors,numColorOrbits,kernelOrder,colorPermGroupOrder,equivalenceKey"]
+def _census_csv(census) -> Iterator[str]:
+    """The census CSV, one line at a time: the header, then one row per entry."""
+    yield "H,kind,detail,numColors,numColorOrbits,kernelOrder,colorPermGroupOrder,equivalenceKey\n"
     h_words: dict[tuple[int, ...], str] = {}  # one display word per color group
     for e in census.entries:
         spec = e.spec
@@ -223,21 +233,18 @@ def _census_csv(census) -> str:
                 f"J2=<{' '.join(spec.J2.label_list())}> y={labs[spec.y]}"
             )
         c = e.classification
-        lines.append(
-            ",".join(
-                [
-                    h_words[spec.H.members],
-                    spec.kind,
-                    detail,
-                    str(c.num_colors),
-                    str(c.num_color_orbits),
-                    str(c.kernel_order),
-                    str(c.color_perm_group_order),
-                    e.key_string(),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        yield ",".join(
+            [
+                h_words[spec.H.members],
+                spec.kind,
+                detail,
+                str(c.num_colors),
+                str(c.num_color_orbits),
+                str(c.kernel_order),
+                str(c.color_perm_group_order),
+                e.key_string(),
+            ]
+        ) + "\n"
 
 
 def cmd_table1(args) -> int:

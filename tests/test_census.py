@@ -433,6 +433,7 @@ def test_serialize_matches_json_dumps_edge_cases(descriptor, options, by_part, n
     result = enumerate_all_semiperfect(G, H_filter=standard_color_groups(G), **options)
     assert (result.to_json()["byPart"], len(result.notes)) == (by_part, notes)
     assert result.serialize() == _oracle_text(result)
+    assert "".join(result.chunks()) == _oracle_text(result)
 
 
 def test_census_builds_no_partition(monkeypatch):
@@ -460,7 +461,7 @@ def test_census_builds_no_partition(monkeypatch):
     for descriptor, G, H in _color_group_sweep():
         result = enumerate_all_semiperfect(G, H_filter=[H])
         result.serialize()
-        _census_csv(result)
+        "".join(_census_csv(result))
         entries += result.total
     assert entries == 5617
     d6 = group_from_descriptor(parse_group_arg("dihedral:6"))

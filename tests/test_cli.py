@@ -1,9 +1,16 @@
+import hashlib
 import json
+import os
 
 import pytest
 
 import semicolor.cli
-from semicolor.census import ColoringSpec
+from semicolor.census import (
+    Census,
+    ColoringSpec,
+    enumerate_all_semiperfect,
+    standard_color_groups,
+)
 from semicolor.cli import main
 from semicolor.groups import build_dihedral, build_p4m_quotient, subgroup_from_words
 
@@ -74,15 +81,20 @@ def four_color_spec_file(tmp_path, d6, hexH):
     ],
     ids=["subgroups", "enumerate-json", "enumerate-csv", "table1", "render", "conjugate"],
 )
-def test_unwritable_out_exits_two(tmp_path, capsys, four_color_spec_file, argv):
-    out = tmp_path / "missing" / "x"
-    argv = [str(four_color_spec_file) if a == "{spec}" else a for a in argv]
-    assert main([*argv, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"error: cannot write {out}: ")
-    assert captured.err.count("\n") == 1
-    assert captured.out == ""
+def test_unwritable_out_exits_two(tmp_path, capsys, monkeypatch, four_color_spec_file, argv):
+    # The empty path is a path that cannot be written, not stdout; enumerate
+    # refuses both before enumerating.
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated although --out cannot be written")
 
+    monkeypatch.setattr(semicolor.cli, "enumerate_all_semiperfect", refuse)
+    argv = [str(four_color_spec_file) if a == "{spec}" else a for a in argv]
+    for out in (tmp_path / "missing" / "x", ""):
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 COMMAND_NAMES = ["subgroups", "enumerate", "table1", "verify", "render", "conjugate"]
@@ -245,6 +257,43 @@ class TestEnumerateCommand:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--group", "dihedral:8"], None),
+            (
+                ["--group", "p4m_quotient:2", "--max-colors", "4", "--format", "csv"],
+                "a95b66aa9b7ed6a1086f40aeb055e5b35c3ecb51e38c36bb7aebb468f2e59fa3",
+            ),
+        ],
+        ids=["json", "csv"],
+    )
+    def test_out_streams_without_serialize(self, tmp_path, capsys, monkeypatch, argv, expected):
+        # enumerate writes the census piece by piece and never builds the
+        # whole document; the bytes are those of the one-string writers.
+        def refuse(self):
+            raise AssertionError("enumerate built the whole census text")
+
+        monkeypatch.setattr(Census, "serialize", refuse)
+        out = tmp_path / "census"
+        assert main(["enumerate", *argv, "--out", str(out)]) == 0
+        if expected is None:
+            G = build_dihedral(8)
+            census = enumerate_all_semiperfect(G, H_filter=standard_color_groups(G))
+            text = json.dumps(census.to_json(), indent=2, sort_keys=True) + "\n"
+            assert out.read_bytes() == text.encode()
+        else:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_write_that_fails_part_way_exits_two(self, capsys, fmt):
+        argv = ["enumerate", "--group", "dihedral:6", "--format", fmt, "--out", "/dev/full"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+        assert captured.out == ""
 
     def test_non_index_two_color_group_rejected(self, capsys):
         assert main(["enumerate", "--group", "dihedral:6", "--H", "a2"]) == 2
