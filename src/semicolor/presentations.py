@@ -1,10 +1,10 @@
 """Low-index subgroup counting for finitely presented groups.
 
-Subgroups of index k correspond to transitive actions on k points with a
-marked point: enumerate generator images in the symmetric group on k
-points, keep the assignments that kill every relator and act transitively,
-and identify two assignments when a point relabeling fixing the marked
-point carries one to the other (then they share the same point stabilizer).
+A subgroup of index k is the stabilizer of coset 0 in a complete coset
+table on k cosets whose rows satisfy every relator.  Numbering new cosets
+in order of first use makes that table unique (C. C. Sims, *Computation
+with Finitely Presented Groups*, 1994, ch. 5), so filling such tables
+entry by entry counts each subgroup exactly once.
 
 Words use one letter per generator; an uppercase letter is the inverse of
 its lowercase generator.
@@ -13,15 +13,13 @@ its lowercase generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from math import factorial
-from typing import Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import FiniteGroup
 
-MAX_INDEX = 5
-MAX_SEARCH_SPACE = 10_000_000
+MAX_INDEX = 16
+#: Coset tables one search may visit.
+MAX_SEARCH_SPACE = 500_000
 
 
 @dataclass(frozen=True)
@@ -55,12 +53,18 @@ class Presentation:
         Returns the list of resulting elements; all must be the identity
         for the images to define a homomorphism from the presented group.
         """
+        if set(images) != set(self.generators):
+            raise InvalidParameterError(
+                f"generator images must name exactly the generators {sorted(self.generators)}"
+            )
         resolved = {}
         for name in self.generators:
-            if name not in images:
-                raise InvalidParameterError(f"missing image for generator {name!r}")
             img = images[name]
-            resolved[name] = group.element(img) if isinstance(img, str) else img
+            if isinstance(img, str):
+                img = group.element(img)
+            elif isinstance(img, bool) or not isinstance(img, int) or not 0 <= img < group.order:
+                raise InvalidParameterError(f"unknown element index {img!r}")
+            resolved[name] = img
         out = []
         for steps in self.relator_symbols():
             acc = group.identity
@@ -103,88 +107,81 @@ def builtin_presentation(name: str) -> Presentation:
         ) from None
 
 
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[q[i]] for i in range(len(p)))
+def _scan(table: list, n: int, relators: list[list[int]], width: int) -> bool:
+    """Trace every relator from every coset below n until nothing changes.
 
-
-def _perm_inv(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _relator_holds(steps, images) -> bool:
-    k = len(images[0])
-    acc = tuple(range(k))
-    for gi, inverted in steps:
-        p = images[gi]
-        if inverted:
-            p = _perm_inv(p)
-        acc = _perm_mul(acc, p)
-    return acc == tuple(range(k))
-
-
-def _canonical_table(images: Sequence[tuple[int, ...]], k: int) -> tuple | None:
-    """Renumber points by first visit from the marked point 0, walking the
-    generator images and their inverses; None when the walk misses a point,
-    that is when the action is not transitive.
-
-    Assignments sharing the stabilizer of 0 agree after this renumbering,
-    and conversely.
+    A trace with exactly one undefined entry defines it and its inverse; a
+    complete trace that does not close returns False.
     """
-    steps = list(images) + [_perm_inv(p) for p in images]
-    order = [0]
-    pos = {0: 0}
-    i = 0
-    while i < len(order):
-        p = order[i]
-        i += 1
-        for perm in steps:
-            q = perm[p]
-            if q not in pos:
-                pos[q] = len(order)
-                order.append(q)
-    if len(order) < k:
-        return None
-    return tuple(tuple(pos[perm[order[i]]] for i in range(k)) for perm in images)
+    changed = True
+    while changed:
+        changed = False
+        for c in range(n):
+            for rel in relators:
+                f, i = c, 0
+                while i < len(rel) and table[f * width + rel[i]] is not None:
+                    f, i = table[f * width + rel[i]], i + 1
+                b, j = c, len(rel)
+                while j > i and table[b * width + (rel[j - 1] ^ 1)] is not None:
+                    b, j = table[b * width + (rel[j - 1] ^ 1)], j - 1
+                if j == i and f != b:
+                    return False
+                if j == i + 1:
+                    table[f * width + rel[i]] = b
+                    table[b * width + (rel[i] ^ 1)] = f
+                    changed = True
+    return True
+
+
+def _children(table: list, n: int, p: int, k: int, relators: list[list[int]], width: int):
+    """The tables that fill entry p, the first undefined one in row-major
+    order, with a defined coset or, below k cosets, with the next new one;
+    an entry is only set where its inverse entry is still empty."""
+    c, x = divmod(p, width)
+    for d in range(min(n + 1, k)):
+        if table[d * width + (x ^ 1)] is None:
+            child = table.copy()
+            child[p], child[d * width + (x ^ 1)] = d, c
+            m = max(n, d + 1)
+            if _scan(child, m, relators, width):
+                yield child, m, p + 1
 
 
 def low_index_subgroup_count(P: Presentation, k: int) -> int:
     """Number of index-k subgroups of the presented group.
 
-    Backtracking over generator images with relators checked as soon as all
-    their letters are assigned; subgroups are counted individually, not up
-    to conjugacy.
+    Sims' low-index search: fill a coset table whose new cosets are numbered
+    in order of first use, so each subgroup has one standard table and no
+    deduplication is needed.  Subgroups are counted individually, not up to
+    conjugacy.  The search keeps its own stack, so its depth is bounded by
+    memory, not by the interpreter's recursion limit, and it visits at most
+    MAX_SEARCH_SPACE tables.
     """
     if k < 1:
         raise InvalidParameterError("index must be a positive integer")
-    if k == 1:
-        return 1
-    ngen = len(P.generators)
-    if k > MAX_INDEX or factorial(k) ** ngen > MAX_SEARCH_SPACE:
-        raise ResourceLimitError(
-            f"index-{k} search over {ngen} generators exceeds the configured space bound"
-        )
-    relator_steps = P.relator_symbols()
-    # A relator can be checked once its highest generator index is assigned.
-    checkable_at: list[list] = [[] for _ in range(ngen)]
-    for steps in relator_steps:
-        if steps:
-            checkable_at[max(gi for gi, _ in steps)].append(steps)
-    perms = list(permutations(range(k)))
-    found: set[tuple] = set()
-    images: list[tuple[int, ...]] = []
-
-    def assign(i: int):
-        if i == ngen:
-            found.add(_canonical_table(images, k))
-            return
-        for perm in perms:
-            images.append(perm)
-            if all(_relator_holds(steps, images) for steps in checkable_at[i]):
-                assign(i + 1)
-            images.pop()
-
-    assign(0)
-    return len(found - {None})
+    if k > MAX_INDEX:
+        raise ResourceLimitError(f"index {k} exceeds the bound MAX_INDEX = {MAX_INDEX}")
+    # Column 2i is generator i and column 2i + 1 its inverse, so x ^ 1 inverts x.
+    width = 2 * len(P.generators)
+    relators = [[2 * gi + inverted for gi, inverted in steps] for steps in P.relator_symbols()]
+    # Entries before a table's start are defined; one spare None marks the end.
+    # The root needs no scan: every other table is scanned after its last entry.
+    stack = [iter([([None] * (k * width + 1), 1, 0)])]
+    count = nodes = 0
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > MAX_SEARCH_SPACE:
+            raise ResourceLimitError(
+                f"index-{k} search exceeds the bound of {MAX_SEARCH_SPACE} coset tables"
+            )
+        table, n, start = state
+        p = table.index(None, start)
+        if p >= n * width:
+            count += n == k
+        else:
+            stack.append(_children(table, n, p, k, relators, width))
+    return count
