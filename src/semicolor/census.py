@@ -660,7 +660,7 @@ class GroupAutomorphism:
             img = images[name]
             if isinstance(img, str):
                 img = group.element(img)
-            elif not (isinstance(img, int) and 0 <= img < group.order):
+            elif isinstance(img, bool) or not (isinstance(img, int) and 0 <= img < group.order):
                 raise InvalidParameterError(f"unknown element index {img}")
             imgs.append(img)
             f = _extend(group, gens[: len(imgs)], imgs)

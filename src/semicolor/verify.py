@@ -28,6 +28,15 @@ stabilizer of each translate from it.  The perfect verdicts of
 block.  ``conjugate-transport`` holds each entry that ``conjugate_spec``
 maps against ``action_equivalence_check``, the one oracle defined in this
 module, which reads its witness from the element-map test.
+
+``census-determinism`` checks that the census writer ``Census.chunks``
+gives the same text on two enumerations, and the text that ``json.dumps(
+Census.to_json(), indent=2, sort_keys=True)`` gives.  Each text goes into
+one sha256 digest a piece at a time.  The oracle's head and tail are
+``json.dumps`` of the census with an empty entry list, and each entry is
+``json.dumps`` of its own ``to_json``, re-indented.  The check is
+byte-exact over every entry, and no census text or census dict is held
+whole.
 """
 
 from __future__ import annotations
@@ -37,9 +46,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .census import (
+    Census,
     ColorGroupTables,
     GroupAutomorphism,
     enumerate_all_semiperfect,
@@ -427,12 +437,12 @@ def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
 
 def _suite_determinism(suite: Suite, G: FiniteGroup, color_groups):
     # Two enumerations serialize alike, and the writer matches the
-    # json.dumps oracle; only digests are held, never two census texts.
+    # json.dumps oracle; only digests are held, never a census text.
     census = enumerate_all_semiperfect(G, H_filter=color_groups)
-    first = _digest(census.serialize())
-    oracle = _digest(json.dumps(census.to_json(), indent=2, sort_keys=True) + "\n")
+    first = _digest(census.chunks())
+    oracle = _digest(_oracle_chunks(census))
     del census
-    second = _digest(enumerate_all_semiperfect(G, H_filter=color_groups).serialize())
+    second = _digest(enumerate_all_semiperfect(G, H_filter=color_groups).chunks())
     suite.check(
         first == oracle == second,
         lambda: "census serialization is not reproducible"
@@ -441,5 +451,39 @@ def _suite_determinism(suite: Suite, G: FiniteGroup, color_groups):
     )
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _oracle_chunks(census: Census) -> Iterator[str]:
+    """``json.dumps(census.to_json(), indent=2, sort_keys=True) + "\\n"`` in
+    pieces: ``json.dumps`` of the census with an empty entry list, split at
+    that list, around ``json.dumps`` of each entry re-indented to its depth.
+    JSON text holds no raw newline outside its layout, so re-indenting every
+    line break is exact."""
+    frame = json.dumps(
+        {
+            "group": census.group.descriptor,
+            "total": census.total,
+            "byPart": census._by_part_json(),
+            "notes": census.notes,
+            "entries": [],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+    head, _, tail = frame.partition('"entries": []')
+    yield head + '"entries": '
+    if not census.entries:
+        yield "[]"
+    else:
+        encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+        opening = "[\n    "
+        for e in census.entries:
+            yield opening + encode(e.to_json()).replace("\n", "\n    ")
+            opening = ",\n    "
+        yield "\n  ]"
+    yield tail + "\n"
+
+
+def _digest(pieces: Iterable[str]) -> str:
+    digest = hashlib.sha256()
+    for piece in pieces:
+        digest.update(piece.encode())
+    return digest.hexdigest()

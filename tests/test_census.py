@@ -683,7 +683,8 @@ class TestAutomorphisms:
                 d6, subgroup_from_words(d6, "b"), subgroup_from_words(d6, "a2b")
             )
 
-    @pytest.mark.parametrize("image", [12, -1, 5.0])
+    # bool is a subclass of int: True would otherwise be element 1 (a).
+    @pytest.mark.parametrize("image", [12, -1, 5.0, True, False])
     def test_generator_image_index_out_of_range_rejected(self, d6, image):
         with pytest.raises(InvalidParameterError, match="unknown element index"):
             GroupAutomorphism.from_generator_images(d6, {"a": image, "b": "ab"})

@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 
 import semicolor.census
 import semicolor.verify
+from semicolor.census import Census, enumerate_all_semiperfect
 from semicolor.errors import ResourceLimitError
 from semicolor.groups import Subgroup, build_dihedral, build_p4m_quotient, subgroups_of_index
 from semicolor.verify import Suite, run_verification
@@ -165,3 +168,65 @@ def test_refuses_groups_above_the_search_bound_before_any_suite(monkeypatch):
     with pytest.raises(ResourceLimitError, match="automorphism-search bound 512"):
         run_verification(build_dihedral(512))
     assert called == []
+
+
+def _determinism(G):
+    suite = Suite("census-determinism")
+    semicolor.verify._suite_determinism(suite, G, subgroups_of_index(G, 2))
+    assert suite.checks == 1
+    return suite.failures
+
+
+def test_census_determinism_fails_when_the_writer_differs(monkeypatch):
+    plain = Census.chunks
+
+    def altered(self):
+        for i, piece in enumerate(plain(self)):
+            yield piece + " " if i == 1 else piece  # the first entry's piece
+
+    monkeypatch.setattr(Census, "chunks", altered)
+    assert _determinism(build_dihedral(6)) == [
+        "census writer differs from json.dumps(Census.to_json())"
+    ]
+
+
+def test_census_determinism_fails_when_enumerations_differ(monkeypatch):
+    censuses = []
+
+    def second_reversed(*args, **kwargs):
+        census = enumerate_all_semiperfect(*args, **kwargs)
+        censuses.append(census)
+        if len(censuses) == 2:
+            census.entries.reverse()
+        return census
+
+    monkeypatch.setattr(semicolor.verify, "enumerate_all_semiperfect", second_reversed)
+    assert _determinism(build_dihedral(6)) == ["census serialization is not reproducible"]
+    assert len(censuses) == 2
+
+
+@pytest.mark.parametrize(
+    "group, max_colors, total, notes",
+    [
+        (lambda: build_dihedral(6), None, 44, []),
+        (lambda: build_dihedral(6), 1, 0, ["no semiperfect coloring"]),
+        (lambda: build_p4m_quotient(2), 4, 386, ["quotient realization"]),
+    ],
+    ids=["dihedral:6", "dihedral:6-empty", "p4m_quotient:2-max4"],
+)
+def test_streamed_oracle_is_json_dumps_of_the_census(group, max_colors, total, notes):
+    census = enumerate_all_semiperfect(group(), max_colors=max_colors)
+    assert census.total == total
+    assert len(census.notes) == len(notes) and all(map(str.startswith, census.notes, notes))
+    text = json.dumps(census.to_json(), indent=2, sort_keys=True) + "\n"
+    streamed = semicolor.verify._digest(semicolor.verify._oracle_chunks(census))
+    assert streamed == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verify_never_holds_the_census_text_or_dict(monkeypatch):
+    def refuse(self):
+        raise AssertionError("verify holds the whole census")
+
+    monkeypatch.setattr(Census, "serialize", refuse)
+    monkeypatch.setattr(Census, "to_json", refuse)
+    assert run_verification(build_dihedral(8)).passed
