@@ -50,6 +50,12 @@ subgroup of K normal in H and y0 the smallest element outside H:
 * type 2: [H:J1] + [H:J2] colors in two orbits, kernel the intersection
   of core_H(J1) and core_H(y0*J2*y0^-1).
 
+Each pipeline reads these counts and core masks once per pool subgroup
+(type 2) or once per (J, l) (type 1, which also conjugates J by l once
+there) and hands them to ``ColorGroupTables.entry``, the one entry
+constructor, so no entry recomputes an index, a core or a conjugate, and
+no spec re-checks an l inside H or a y0 outside it.
+
 This module defines no brute-force oracle.  ``color_action``,
 ``orbit_table`` and ``partition_stabilizer`` in ``partitions``, which
 translate blocks, and ``verify.action_equivalence_check`` are the oracles
@@ -64,8 +70,10 @@ encoder is pure Python, without calling it on the entries; it joins
 ``Census.chunks``, one piece per entry, which ``enumerate --out`` writes to
 the file as they come, so the document is never held whole.  Each entry is
 a fixed frame, keys in sorted order, joining text encoded once per census:
-every element label, the group descriptor, and the label list of each
-distinct subgroup.  A value whose key sits d levels deep is the
+every element label, the group descriptor, the ``kind`` and ``verdict``
+strings, and the label list of each distinct subgroup.  Only the
+``equivalenceKey`` is encoded per entry, by ``encode_basestring_ascii``,
+the function ``json.dumps`` calls on a string.  A value whose key sits d levels deep is the
 ``json.dumps`` text with every line break followed by d more indents; JSON
 text holds no raw newline elsewhere, so escaping stays ``json``'s own.
 ``Census.to_json`` is the plain structure whose ``json.dumps`` text
@@ -77,6 +85,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidParameterError
@@ -245,7 +254,7 @@ class ColorGroupTables:
 
     core_H(J) is the intersection of the conjugates t*J*t^-1 for t in H.  A
     conjugate depends only on the left coset t*J, so one t per coset
-    suffices.
+    suffices, and each is taken as a bit mask, with no ``Subgroup`` built.
     """
 
     def __init__(self, G: FiniteGroup, H: Subgroup, max_colors: int | None = None):
@@ -257,11 +266,13 @@ class ColorGroupTables:
         self.pool = subgroups_of_index_at_most(H, H.order if max_colors is None else max_colors)
         self.reps: dict[tuple[int, ...], list[int]] = {}
         self.cores: dict[tuple[int, ...], int] = {}
+        table, inverse = G.table, G.inverse
         for J in self.pool:
             reps = self.reps[J.members] = left_coset_reps(H, J)
             mask = J.mask
             for t in reps:
-                mask &= J.conjugated_by(t).mask
+                row, ti = table[t], inverse[t]
+                mask &= sum(1 << table[row[j]][ti] for j in J.members)  # injective: distinct bits
             self.cores[J.members] = mask
         self.text = _BlockText(G.labels)
 
@@ -289,28 +300,30 @@ class ColorGroupTables:
         return _count_type1(self.H, J, self.h_normalizers[members], self.g_normalizers[members])
 
     def entry(
-        self, spec: ColoringSpec, key: tuple[tuple[int, ...], ...], kernel: int
+        self,
+        spec: ColoringSpec,
+        key: tuple[tuple[int, ...], ...],
+        colors: int,
+        orbits: int,
+        kernel: int,
     ) -> CensusEntry:
-        """The census entry of ``spec``, classified in closed form.
+        """The census entry of ``spec``, classified in closed form from the
+        counts its pipeline read once per pool subgroup.
 
+        ``colors`` is [H:J'] for type 1 and [H:J1] + [H:J2] for type 2, and
         ``kernel`` is the ``Subgroup.mask`` of the color action's kernel:
         core_H(J') for type 1, the intersection of core_H(J1) and
         core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The
         verdict is semiperfect, because the pipelines emit no perfect
         coloring; ``color_action`` is the oracle for all of it.
         """
-        H = self.H
-        if spec.kind == "type1":
-            colors, orbits = H.order // spec.J.order, 1
-        else:
-            colors, orbits = H.order // spec.J1.order + H.order // spec.J2.order, 2
         kernel_order = kernel.bit_count()
         classification = Classification(
             verdict=SEMIPERFECT,
             num_colors=colors,
             num_color_orbits=orbits,
             kernel_order=kernel_order,
-            color_perm_group_order=H.order // kernel_order,
+            color_perm_group_order=self.H.order // kernel_order,
         )
         return CensusEntry(spec, classification, key, self.text)
 
@@ -332,26 +345,29 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
         key=lambda s: (s.order, s.members),
     )
     y0 = smallest_outside(H)
-    inside, outside, outside_core = [], [], []
+    index, core, inside, outside, outside_core = [], [], [], [], []
     for J in pool:
         # h*y0*J = y0*J exactly when h lies in y0*J*y0^-1, which H contains
         # because it is normal; core_H(y0*J*y0^-1) is that subgroup's core.
         Jy = J.conjugated_by(y0).members
         base = [group.table[y0][j] for j in J.members]
+        index.append(H.order // J.order)
+        core.append(cores[J.members])
         inside.append(_translates(group, reps[J.members], J.members))
         outside.append(sorted(_translates(group, reps[Jy], base)))
         outside_core.append(cores[Jy])
     entries = []
     for i, J1 in enumerate(pool):
         for j in range(i + 1, len(pool)):
-            J2 = pool[j]
-            if cap is not None and H.order // J1.order + H.order // J2.order > cap:
+            colors = index[i] + index[j]
+            if cap is not None and colors > cap:
                 continue
+            J2 = pool[j]
             # The orbit key P(lo, hi) in closed form (see the module docstring).
             lo, hi = (i, j) if J1.members < J2.members else (j, i)
             key = tuple(sorted(inside[lo] + outside[hi]))
-            kernel = cores[J1.members] & outside_core[j]
-            entries.append(tables.entry(ColoringSpec.type2(H, J1, J2, y0), key, kernel))
+            spec = ColoringSpec(group, H, "type2", J1=J1, J2=J2, y=y0)  # y0 is outside H
+            entries.append(tables.entry(spec, key, colors, 2, core[i] & outside_core[j]))
     entries.sort(key=lambda e: e.key)
     _assert_distinct_keys(entries)
     return entries
@@ -365,28 +381,35 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
     """
     H = tables.H
     group = H.group
+    in_H = H.member_set
     # One entry per identity block of a key (see the module docstring).
     entries: dict[tuple[int, ...], CensusEntry] = {}
+    cell_J, cell_l = None, None
     for J, l, r, verdict in type1_cells(tables):
         if verdict.perfect:
             continue
-        base = _type1_base(group, J.conjugated_by(l), r)
+        if J is not cell_J or l != cell_l:  # the grid runs l by l within each J
+            cell_J, cell_l = J, l
+            Jl = J.conjugated_by(l).members
+            colors = H.order // J.order
+            kernel = tables.cores[J.members]  # l lies in H, so core_H(l*J*l^-1) = core_H(J)
+        base = _type1_base(group, Jl, r)
         if base in entries:
             continue
-        stabilizer = tuple(e for e in base if e in H)
+        stabilizer = tuple(e for e in base if e in in_H)
         key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
-        # l lies in H, so core_H(l*J*l^-1) = core_H(J).
-        entries[base] = tables.entry(ColoringSpec.type1(H, J, r, l), key, tables.cores[J.members])
+        spec = ColoringSpec(group, H, "type1", J=J, l=l, r=r)  # l lies in H
+        entries[base] = tables.entry(spec, key, colors, 1, kernel)
     return sorted(entries.values(), key=lambda e: e.key)
 
 
-def _type1_base(group: FiniteGroup, J: Subgroup, r: int) -> tuple[int, ...]:
-    """The identity block of the type-1 orbit key of P(J, r): the smaller of
-    B = J u J*r and r^-1*B (see the module docstring).  The key is the set of
-    H-translates of this block, so two cells are equivalent exactly when
-    their blocks are equal."""
+def _type1_base(group: FiniteGroup, J: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """The identity block of the type-1 orbit key of P(J, r), J given by its
+    members: the smaller of B = J u J*r and r^-1*B (see the module
+    docstring).  The key is the set of H-translates of this block, so two
+    cells are equivalent exactly when their blocks are equal."""
     table = group.table
-    block = tuple(sorted(J.members + tuple(table[j][r] for j in J.members)))
+    block = tuple(sorted(J + tuple(table[j][r] for j in J)))
     moved = tuple(sorted(table[group.inverse[r]][e] for e in block))
     return min(block, moved)
 
@@ -465,6 +488,7 @@ class Census:
         per census (see the module docstring): the head through
         ``"entries": ``, one piece per entry, then the tail."""
         labels = [json.dumps(label) for label in self.group.labels]
+        names = {name: json.dumps(name) for name in ("type1", "type2", PERFECT, SEMIPERFECT)}
         group = _indented(self.group.descriptor, 4)
         lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
 
@@ -486,13 +510,13 @@ class Census:
                 tail = f'"y": {labels[s.y]}'
             yield opening + _ENTRY.format(
                 c=c,
-                key=json.dumps(e.key_string()),
+                key=encode_basestring_ascii(e.key_string()),  # as json.dumps does
                 H=members(s.H),
                 head=head,
                 group=group,
-                kind=json.dumps(s.kind),
+                kind=names[s.kind],
                 tail=tail,
-                verdict=json.dumps(c.verdict),
+                verdict=names[c.verdict],
             )
             opening = ",\n"
         closing = "\n  ]" if self.entries else "[]"
@@ -603,7 +627,7 @@ def type1_reference_grid(G: FiniteGroup, H: Subgroup) -> list[GridRow]:
         if verdict.perfect:
             rows.append(GridRow(J, l, r, PERFECT, PERFECT))
             continue
-        key = _type1_base(G, J.conjugated_by(l), r)
+        key = _type1_base(G, J.conjugated_by(l).members, r)
         if key in first_seen:
             note = f"equivalent to ({first_seen[key]})"
         else:

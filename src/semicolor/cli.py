@@ -220,18 +220,23 @@ def _census_csv(census) -> Iterator[str]:
     """The census CSV, one line at a time: the header, then one row per entry."""
     yield "H,kind,detail,numColors,numColorOrbits,kernelOrder,colorPermGroupOrder,equivalenceKey\n"
     h_words: dict[tuple[int, ...], str] = {}  # one display word per color group
+    lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
+
+    def members(S) -> str:
+        text = lists.get(S.members)
+        if text is None:
+            text = lists[S.members] = " ".join(S.label_list())
+        return text
+
     for e in census.entries:
         spec = e.spec
         if spec.H.members not in h_words:
             h_words[spec.H.members] = generating_words(spec.H)
         labs = spec.group.labels
         if spec.kind == "type1":
-            detail = f"J=<{' '.join(spec.J.label_list())}> l={labs[spec.l]} r={labs[spec.r]}"
+            detail = f"J=<{members(spec.J)}> l={labs[spec.l]} r={labs[spec.r]}"
         else:
-            detail = (
-                f"J1=<{' '.join(spec.J1.label_list())}> "
-                f"J2=<{' '.join(spec.J2.label_list())}> y={labs[spec.y]}"
-            )
+            detail = f"J1=<{members(spec.J1)}> J2=<{members(spec.J2)}> y={labs[spec.y]}"
         c = e.classification
         yield ",".join(
             [

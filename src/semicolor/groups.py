@@ -528,10 +528,7 @@ def index_two_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgr
     """
     universe = _as_universe(group_or_subgroup)
     group = universe.group
-    squares = _close_under_products(
-        group, (group.table[g][g] for g in universe.members)
-    )
-    sq_set = set(squares)
+    squares = _squares(universe)
     # Coset decomposition of the universe by the squares subgroup.
     cosets: list[tuple[int, ...]] = []
     coset_of: dict[int, int] = {}
@@ -567,6 +564,14 @@ def index_two_subgroups(group_or_subgroup: FiniteGroup | Subgroup) -> list[Subgr
                 members.extend(cosets[ci])
         subs.append(Subgroup(group, tuple(sorted(members))))
     return sorted(subs, key=lambda s: s.members)
+
+
+def _squares(universe: Subgroup) -> tuple[int, ...]:
+    """Members of the subgroup generated by the squares of ``universe``.
+    The quotient by it is elementary abelian of order 2^r, and ``universe``
+    has 2^r - 1 index-2 subgroups."""
+    table = universe.group.table
+    return _close_under_products(universe.group, (table[g][g] for g in universe.members))
 
 
 def subgroups_of_index(group_or_subgroup: FiniteGroup | Subgroup, k: int) -> list[Subgroup]:
@@ -720,10 +725,14 @@ def generating_words(sub: Subgroup) -> str:
     non_identity = [m for m in sub.members if m != group.identity]
     n = len(non_identity)
     # The first 1-, 2- or 3-element subset in lexicographic order that
-    # generates sub.  For a fixed prefix, a candidate inside <prefix, c> for
-    # a rejected c generates a subgroup of that proper subgroup, so it is
-    # skipped unclosed.
-    for size in (1, 2) if n > 24 else (1, 2, 3):
+    # generates sub.  A generating set maps onto one of sub/<squares>, an
+    # elementary abelian group of rank r, so it has at least r elements (the
+    # bound of Burnside's basis theorem) and smaller sizes are not searched.
+    # For a fixed prefix, a candidate inside <prefix, c> for a rejected c
+    # generates a subgroup of that proper subgroup, so it is skipped
+    # unclosed.
+    rank = (sub.order // len(_squares(sub))).bit_length() - 1
+    for size in range(max(rank, 1), 3 if n > 24 else 4):
         for prefix in combinations(range(n), size - 1):
             gens = [non_identity[i] for i in prefix]
             rejected: set[int] = set()

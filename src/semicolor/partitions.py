@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotAPartitionError
@@ -177,10 +178,15 @@ def _translates(
     ``h * base`` for h in H, because ``h * base`` depends only on the coset
     ``h*K``: [H:K] blocks, one sort of |base| members each.  They are
     pairwise distinct when K is the whole H-stabilizer of ``base``, and
-    repeat otherwise.
+    repeat otherwise.  One ``itemgetter`` reads ``base`` out of each row;
+    for a one-element base it returns the element, not a tuple.
     """
     table = group.table
-    return [tuple(sorted(table[h][e] for e in base)) for h in reps]
+    if len(base) == 1:
+        (b,) = base
+        return [(table[h][b],) for h in reps]
+    images = itemgetter(*base)
+    return [tuple(sorted(images(table[h]))) for h in reps]
 
 
 def general_partition(

@@ -303,6 +303,24 @@ def test_tables_hold_each_core_and_the_pool_classes():
         assert tables.classes == conjugacy_classes_of_subgroups(tables.pool, whole_group(G))
 
 
+@pytest.mark.parametrize(
+    "descriptor", ["dihedral:8", "dihedral:12", "p4m_quotient:1", "p4m_quotient:2"]
+)
+def test_cores_match_the_conjugate_subgroup_masks(descriptor):
+    # The tables take each conjugate as a bit mask; the reference builds
+    # the conjugate Subgroup for every t in H and intersects their masks,
+    # for every pool, the capped ones included.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    for H in subgroups_of_index(G, 2):
+        for cap in (None, 2, 4):
+            tables = ColorGroupTables(G, H, cap)
+            for J in tables.pool:
+                mask = J.mask
+                for t in H.members:
+                    mask &= J.conjugated_by(t).mask
+                assert tables.cores[J.members] == mask, (descriptor, J, cap)
+
+
 def test_tables_hold_normalizers_of_class_representatives():
     # Held once per class representative, computed by normalizer itself;
     # the tables' count reads them and agrees with the free function.

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -558,6 +559,50 @@ def test_generating_words_matches_exhaustive_search():
     for sub in subs:
         assert generating_words(sub) == exhaustive_generating_words(sub), sub.members
     assert len(subs) == 551
+
+
+def unbounded_generating_words(sub):
+    """``generating_words`` as it was before the rank bound: every subset
+    size from 1 is searched, with the same prefix pruning.  Sizes below the
+    rank of sub/<squares> find nothing, so both return the same word."""
+    group = sub.group
+    if sub.order == 1:
+        return "{e}"
+    non_identity = [m for m in sub.members if m != group.identity]
+    n = len(non_identity)
+    for size in (1, 2) if n > 24 else (1, 2, 3):
+        for prefix in combinations(range(n), size - 1):
+            gens = [non_identity[i] for i in prefix]
+            rejected = set()
+            for c in non_identity[prefix[-1] + 1 if prefix else 0:]:
+                if c in rejected:
+                    continue
+                closed = groups._close_under_products(group, gens + [c])
+                if closed == sub.members:
+                    return "<" + ",".join(group.labels[g] for g in gens + [c]) + ">"
+                rejected.update(closed)
+    return "<" + ",".join(group.labels[g] for g in groups._greedy_generators(sub)) + ">"
+
+
+def test_generating_words_matches_the_unbounded_search():
+    subs = []
+    descriptors = [f"dihedral:{n}" for n in range(1, 13)] + ["p4m_quotient:1", "p4m_quotient:2"]
+    for descriptor in descriptors:
+        subs += all_subgroups(group_from_descriptor(parse_group_arg(descriptor)))
+    # The index-2 subgroups of p4m_quotient:4, 6 and 8 (orders 64, 144 and
+    # 256) have ranks 2 to 4 and more than 24 non-identity members, so from
+    # rank 3 on only the greedy fallback is left.  Rank-3 subgroups of
+    # order at most 25 take the 3-element search alone.
+    for N in (4, 6, 8):
+        subs += index_two_subgroups(build_p4m_quotient(N))
+    ranks = Counter()
+    for sub in subs:
+        rank = (sub.order // len(groups._squares(sub))).bit_length() - 1
+        assert len(index_two_subgroups(sub)) == 2**rank - 1, sub.members
+        ranks[rank] += 1
+        assert generating_words(sub) == unbounded_generating_words(sub), sub.members
+    assert len(subs) == 299
+    assert sorted(ranks) == [0, 1, 2, 3, 4]
 
 
 def set_based_normalizes(J, g):

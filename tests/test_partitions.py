@@ -31,6 +31,7 @@ from semicolor.partitions import (
     stabilized_by_whole_group,
     type1_partition,
     type2_partition,
+    _translates,
 )
 
 
@@ -464,6 +465,25 @@ class TestCosetIndexedBlocks:
                 assert P.translated(y).blocks == type2_partition(H, J2, J1).blocks
                 lo, hi = sorted((J1, J2), key=lambda s: s.members)
                 assert equivalence_key(P, H) == type2_partition(H, lo, hi).blocks
+
+    def test_translates_of_a_one_element_base(self, color_group_sweep):
+        # The trivial J: an itemgetter of one index returns the element
+        # itself, so _translates builds the one-member blocks on its own.
+        for G, H, subs in color_group_sweep:
+            trivial = subs[0]
+            assert trivial.members == (G.identity,)
+            assert _translates(G, H.members, trivial.members) == [(h,) for h in H.members]
+            y = smallest_outside(H)
+            assert _translates(G, H.members, [y]) == [(G.mul(h, y),) for h in H.members]
+
+    def test_translates_of_random_bases(self, color_group_sweep):
+        rng = random.Random(28)
+        for G, H, subs in color_group_sweep:
+            for _ in range(20):
+                base = rng.sample(range(G.order), rng.randint(1, G.order))
+                reps = rng.sample(H.members, rng.randint(1, H.order))
+                want = [tuple(sorted(G.table[h][e] for e in base)) for h in reps]
+                assert _translates(G, reps, base) == want
 
     def test_smallest_outside_is_first_of_complement(self, color_group_sweep):
         for G, H, subs in color_group_sweep:
