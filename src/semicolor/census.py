@@ -54,7 +54,9 @@ Each pipeline reads these counts and core masks once per pool subgroup
 (type 2) or once per (J, l) (type 1, which also conjugates J by l once
 there) and hands them to ``ColorGroupTables.entry``, the one entry
 constructor, so no entry recomputes an index, a core or a conjugate, and
-no spec re-checks an l inside H or a y0 outside it.
+no spec re-checks an l inside H or a y0 outside it.  Entries with equal
+counts and kernel share one frozen ``Classification``, and ``type1_cells``
+reads each verdict from ``classify_type1``'s unchecked core.
 
 This module defines no brute-force oracle.  ``color_action``,
 ``orbit_table`` and ``partition_stabilizer`` in ``partitions``, which
@@ -69,11 +71,13 @@ automorphism, and builds no partition and computes no verdict.
 encoder is pure Python, without calling it on the entries; it joins
 ``Census.chunks``, one piece per entry, which ``enumerate --out`` writes to
 the file as they come, so the document is never held whole.  Each entry is
-a fixed frame, keys in sorted order, joining text encoded once per census:
-every element label, the group descriptor, the ``kind`` and ``verdict``
-strings, and the label list of each distinct subgroup.  Only the
-``equivalenceKey`` is encoded per entry, by ``encode_basestring_ascii``,
-the function ``json.dumps`` calls on a string.  A value whose key sits d levels deep is the
+a fixed frame, keys in sorted order, written by one f-string function,
+``_entry_text``, so no template is parsed per entry.  It joins text
+encoded once per census: every element label, the group descriptor, the
+``kind`` and ``verdict`` strings, and the label list of each distinct
+subgroup.  Only the ``equivalenceKey`` is encoded per entry, by
+``encode_basestring_ascii``, the function ``json.dumps`` calls on a
+string, and the counts, which are ints.  A value whose key sits d levels deep is the
 ``json.dumps`` text with every line break followed by d more indents; JSON
 text holds no raw newline elsewhere, so escaping stays ``json``'s own.
 ``Census.to_json`` is the plain structure whose ``json.dumps`` text
@@ -117,6 +121,7 @@ from .partitions import (
     type1_partition,
     type2_partition,
     _translates,
+    _type1_verdict,
 )
 
 
@@ -240,7 +245,7 @@ class _BlockText(dict):
         self.labels = labels
 
     def __missing__(self, block: tuple[int, ...]) -> str:
-        text = self[block] = ",".join(self.labels[e] for e in block)
+        text = self[block] = ",".join(map(self.labels.__getitem__, block))
         return text
 
 
@@ -275,6 +280,7 @@ class ColorGroupTables:
                 mask &= sum(1 << table[row[j]][ti] for j in J.members)  # injective: distinct bits
             self.cores[J.members] = mask
         self.text = _BlockText(G.labels)
+        self.classifications: dict[tuple[int, int, int], Classification] = {}
 
     @cached_property
     def classes(self) -> list[list[Subgroup]]:
@@ -315,16 +321,19 @@ class ColorGroupTables:
         core_H(J') for type 1, the intersection of core_H(J1) and
         core_H(y0*J2*y0^-1) for type 2 (see the module docstring).  The
         verdict is semiperfect, because the pipelines emit no perfect
-        coloring; ``color_action`` is the oracle for all of it.
+        coloring; ``color_action`` is the oracle for all of it.  Entries
+        with equal counts and kernel share one frozen ``Classification``.
         """
-        kernel_order = kernel.bit_count()
-        classification = Classification(
-            verdict=SEMIPERFECT,
-            num_colors=colors,
-            num_color_orbits=orbits,
-            kernel_order=kernel_order,
-            color_perm_group_order=self.H.order // kernel_order,
-        )
+        classification = self.classifications.get((colors, orbits, kernel))
+        if classification is None:
+            kernel_order = kernel.bit_count()
+            classification = self.classifications[colors, orbits, kernel] = Classification(
+                verdict=SEMIPERFECT,
+                num_colors=colors,
+                num_color_orbits=orbits,
+                kernel_order=kernel_order,
+                color_perm_group_order=self.H.order // kernel_order,
+            )
         return CensusEntry(spec, classification, key, self.text)
 
 
@@ -400,7 +409,9 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
         key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
         spec = ColoringSpec(group, H, "type1", J=J, l=l, r=r)  # l lies in H
         entries[base] = tables.entry(spec, key, colors, 1, kernel)
-    return sorted(entries.values(), key=lambda e: e.key)
+    part = sorted(entries.values(), key=lambda e: e.key)
+    _assert_distinct_keys(part)
+    return part
 
 
 def _type1_base(group: FiniteGroup, J: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -432,7 +443,7 @@ def type1_cells(tables: ColorGroupTables) -> Iterable[tuple[Subgroup, int, int, 
             Jl = J.conjugated_by(l)
             for r in R:
                 rl = G.conj(r, l)
-                yield J, l, rl, classify_type1(Jl, rl, H)
+                yield J, l, rl, _type1_verdict(Jl, rl)  # J in H, r outside: no checks
 
 
 def count_semiperfect_type1(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:
@@ -508,15 +519,19 @@ class Census:
             else:
                 head = f'"J1": {members(s.J1)},\n        "J2": {members(s.J2)}'
                 tail = f'"y": {labels[s.y]}'
-            yield opening + _ENTRY.format(
-                c=c,
-                key=encode_basestring_ascii(e.key_string()),  # as json.dumps does
-                H=members(s.H),
-                head=head,
-                group=group,
-                kind=names[s.kind],
-                tail=tail,
-                verdict=names[c.verdict],
+            yield _entry_text(
+                opening,
+                c.color_perm_group_order,
+                encode_basestring_ascii(e.key_string()),  # as json.dumps does
+                c.kernel_order,
+                c.num_color_orbits,
+                c.num_colors,
+                members(s.H),
+                head,
+                group,
+                names[s.kind],
+                tail,
+                names[c.verdict],
             )
             opening = ",\n"
         closing = "\n  ]" if self.entries else "[]"
@@ -528,15 +543,19 @@ class Census:
         )
 
 
-# One census entry as ``json.dumps(indent=2, sort_keys=True)`` writes it inside
-# the top-level "entries" list; the keys of both objects are in sorted order.
-_ENTRY = """\
-    {{
-      "colorPermGroupOrder": {c.color_perm_group_order},
+def _entry_text(
+    opening, perm_order, key, kernel_order, orbits, colors, H, head, group, kind, tail, verdict
+) -> str:
+    """One census entry as ``json.dumps(indent=2, sort_keys=True)`` writes it
+    inside the top-level "entries" list, after ``opening``; the keys of both
+    objects are in sorted order.  The counts are ints and every other
+    argument is JSON text."""
+    return f"""{opening}    {{
+      "colorPermGroupOrder": {perm_order},
       "equivalenceKey": {key},
-      "kernelOrder": {c.kernel_order},
-      "numColorOrbits": {c.num_color_orbits},
-      "numColors": {c.num_colors},
+      "kernelOrder": {kernel_order},
+      "numColorOrbits": {orbits},
+      "numColors": {colors},
       "spec": {{
         "H": {H},
         {head},
@@ -592,13 +611,21 @@ def enumerate_all_semiperfect(
             part = pipeline(tables)
             by_part[(h_key, kind)] = len(part)
             entries.extend(part)
-    _assert_distinct_keys(entries)
     return Census(group=G, entries=entries, by_part=by_part, notes=notes)
 
 
-def _assert_distinct_keys(entries: Sequence[CensusEntry]):
-    keys = [(id(e.spec.H.group), e.spec.H.members, e.key) for e in entries]
-    if len(set(keys)) != len(keys):
+def _assert_distinct_keys(part: Sequence[CensusEntry]):
+    """Raise when two entries of one pipeline's part, which all share one
+    color group H, have the same orbit key.
+
+    Each pipeline checks its own part, so every key is hashed once per
+    census, and parts cannot collide.  A semiperfect partition's stabilizer
+    is its H, and every translate gP has the stabilizer g*H*g^-1 = H, so the
+    parts of different color groups hold different classes.  For one H, the
+    blocks of a type-1 partition meet both cosets of H and those of a
+    type-2 partition meet one, so no type-1 key is a type-2 key.
+    """
+    if len({e.key for e in part}) != len(part):
         raise InvalidParameterError("census produced a duplicated equivalence class")
 
 

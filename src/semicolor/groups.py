@@ -621,9 +621,26 @@ def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]
 
 
 def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
-    """Elements of ``within`` whose conjugation fixes J setwise."""
+    """Elements of ``within`` whose conjugation fixes J setwise.
+
+    With W = ``within`` and K = J n W, w normalizes J exactly when every
+    w*k (k in K) does, because K normalizes J.  So N_W(J) is a union of
+    left cosets w*K, and one ``is_normalized_by`` test per coset decides
+    the whole coset: [W:K] tests instead of |W|.
+    """
     within._check_ambient(J)
-    return Subgroup(J.group, tuple(w for w in within.members if J.is_normalized_by(w)))
+    table, in_J = J.group.table, J.member_set
+    K = [k for k in within.members if k in in_J]
+    seen: set[int] = set()
+    found: list[int] = []
+    for w in within.members:
+        if w in seen:
+            continue
+        coset = [table[w][k] for k in K]
+        seen.update(coset)
+        if J.is_normalized_by(w):
+            found += coset
+    return Subgroup(J.group, tuple(sorted(found)))
 
 
 def left_coset_reps(H: Subgroup, K: Subgroup) -> list[int]:

@@ -324,10 +324,14 @@ def classify_type1(J: Subgroup, r: int, H: Subgroup) -> TypeOneVerdict:
     _require_inside(J, H)
     if r in H:
         raise InvalidParameterError("r must lie outside H")
-    return TypeOneVerdict(
-        rep_normalizes=J.is_normalized_by(r),
-        square_in_core=H.group.table[r][r] in J,
-    )
+    return _type1_verdict(J, r)
+
+
+def _type1_verdict(J: Subgroup, r: int) -> TypeOneVerdict:
+    """``classify_type1`` without its checks, for callers such as
+    ``census.type1_cells`` whose grid holds J inside an index-2 H and r
+    outside it by construction."""
+    return TypeOneVerdict(J.is_normalized_by(r), J.group.table[r][r] in J.member_set)
 
 
 def classify_type2(J1: Subgroup, J2: Subgroup, H: Subgroup) -> str:
@@ -395,13 +399,15 @@ def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
         if start in seen:
             continue
         orbits += 1
+        seen.add(start)
         stack = [start]
         while stack:
             b = stack.pop()
-            if b in seen:
-                continue
-            seen.add(b)
-            stack.extend(perm[b] for perm in perms)
+            for perm in perms:
+                c = perm[b]
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
     kernel = Subgroup(group, tuple(kernel_members))
     cls = Classification(
         verdict=verdict,

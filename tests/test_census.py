@@ -35,6 +35,7 @@ from semicolor.groups import (
 from semicolor.partitions import (
     SEMIPERFECT,
     GroupPartition,
+    classify_type1,
     color_action,
     equivalence_class,
     equivalence_key,
@@ -379,6 +380,37 @@ def test_type1_keys_match_equivalence_key():
             )
             entries += 1
     assert (cells, entries) == (4652, 452)
+
+
+@pytest.mark.parametrize(
+    "descriptor", [f"dihedral:{n}" for n in range(3, 9)] + ["p4m_quotient:1", "p4m_quotient:2"]
+)
+def test_type1_cells_verdicts_match_classify_type1(descriptor):
+    # type1_cells skips classify_type1's checks, not its verdict.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    cells = 0
+    for H in subgroups_of_index(G, 2):
+        for J, l, r, verdict in type1_cells(ColorGroupTables(G, H)):
+            assert verdict == classify_type1(J.conjugated_by(l), r, H), (H, J, l, r)
+            cells += 1
+    assert cells > 0
+
+
+@pytest.mark.parametrize("pipeline, kind", [(enumerate_type1, "type1"), (enumerate_type2, "type2")])
+def test_a_duplicated_key_raises_in_either_pipeline(monkeypatch, d6, hexH, pipeline, kind):
+    # Each pipeline checks its own part and the census adds no check of its
+    # own, so a forced duplicate raises through enumerate_all_semiperfect too.
+    plain = ColorGroupTables.entry
+
+    def one_key(self, spec, key, colors, orbits, kernel):
+        return plain(self, spec, ((d6.identity,),), colors, orbits, kernel)
+
+    monkeypatch.setattr(ColorGroupTables, "entry", one_key)
+    message = "census produced a duplicated equivalence class"
+    with pytest.raises(InvalidParameterError, match=message):
+        pipeline(ColorGroupTables(d6, hexH))
+    with pytest.raises(InvalidParameterError, match=message):
+        enumerate_all_semiperfect(d6, H_filter=[hexH], kinds=(kind,))
 
 
 def test_key_strings_match_partition_text():

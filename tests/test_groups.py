@@ -636,6 +636,33 @@ def test_every_normalizing_test_agrees_with_the_set_based_one(descriptor):
             assert perfect_coset_count(G, H, J) == len(perfect_cosets), (H, J)
 
 
+def reference_normalizer(W, J):
+    """The definition of N_W(J): every w in W whose conjugation fixes J.
+    ``normalizer`` tests one w per left coset of J n W instead."""
+    return tuple(w for w in W.members if J.is_normalized_by(w))
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [f"dihedral:{n}" for n in range(1, 9)] + ["dihedral:12", "p4m_quotient:1", "p4m_quotient:2"],
+)
+def test_normalizer_matches_the_definition(descriptor):
+    # Every pool subgroup J of every index-2 H, within H and within G, and
+    # every subgroup of G that H does not contain, within H.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    full = whole_group(G)
+    outside = 0
+    for H in subgroups_of_index(G, 2):
+        for J in subgroups_of_index_at_most(H, H.order):
+            for W in (H, full):
+                assert normalizer(W, J).members == reference_normalizer(W, J), (H, J, W)
+        for J in all_subgroups(G):
+            if not J.is_subset_of(H):
+                outside += 1
+                assert normalizer(H, J).members == reference_normalizer(H, J), (H, J)
+    assert outside > 0
+
+
 class TestPerfectCosetCount:
     def test_worked_values(self, d6, hexH):
         assert perfect_coset_count(d6, hexH, subgroup_from_words(d6, "b")) == 1
