@@ -52,11 +52,15 @@ subgroup of K normal in H and y0 the smallest element outside H:
 
 Each pipeline reads these counts and core masks once per pool subgroup
 (type 2) or once per (J, l) (type 1, which also conjugates J by l once
-there) and hands them to ``ColorGroupTables.entry``, the one entry
-constructor, so no entry recomputes an index, a core or a conjugate, and
-no spec re-checks an l inside H or a y0 outside it.  Entries with equal
-counts and kernel share one frozen ``Classification``, and ``type1_cells``
-reads each verdict from ``classify_type1``'s unchecked core.
+there) and hands them, with the entry's recipe (J, l, r) or (J1, J2, y0),
+to ``ColorGroupTables.entry``, the one entry constructor, so no entry
+recomputes an index, a core or a conjugate.  A ``CensusEntry`` is one
+slotted record of the recipe, the classification and the key; it builds
+its ``ColoringSpec`` only when ``spec`` is read, and no spec re-checks an
+l inside H or a y0 outside it.  Entries with equal counts and kernel share
+one frozen ``Classification``.  ``type1_cells`` reads each verdict from
+``classify_type1``'s unchecked core, once per (J, r): conjugation by l is
+an automorphism, so every l shares it.
 
 This module defines no brute-force oracle.  ``color_action``,
 ``orbit_table`` and ``partition_stabilizer`` in ``partitions``, which
@@ -70,7 +74,10 @@ automorphism, and builds no partition and computes no verdict.
 ``json.dumps(census.to_json(), indent=2, sort_keys=True)``, whose indenting
 encoder is pure Python, without calling it on the entries; it joins
 ``Census.chunks``, one piece per entry, which ``enumerate --out`` writes to
-the file as they come, so the document is never held whole.  Each entry is
+the file as they come, so the document is never held whole.  It, the CSV
+writer and ``CensusEntry.to_json`` read the recipe fields of each entry and
+build no spec; ``_recipe_json`` is the one writer of a recipe's JSON dict,
+for ``ColoringSpec.to_json`` and ``CensusEntry.to_json`` alike.  Each entry is
 a fixed frame, keys in sorted order, written by one f-string function,
 ``_entry_text``, so no template is parsed per entry.  It joins text
 encoded once per census: every element label, the group descriptor, the
@@ -168,21 +175,7 @@ class ColoringSpec:
         return classify_type2(self.J1, self.J2, self.H)
 
     def to_json(self) -> dict:
-        group = self.group
-        out: dict = {
-            "group": group.descriptor,
-            "H": self.H.label_list(),
-            "kind": self.kind,
-        }
-        if self.kind == "type1":
-            out["J"] = self.J.label_list()
-            out["l"] = group.labels[self.l]
-            out["r"] = group.labels[self.r]
-        else:
-            out["J1"] = self.J1.label_list()
-            out["J2"] = self.J2.label_list()
-            out["y"] = group.labels[self.y]
-        return out
+        return _recipe_json(self)
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ColoringSpec":
@@ -218,12 +211,68 @@ def subgroup_of_labels(group: FiniteGroup, labels: list[str]) -> Subgroup:
     return Subgroup.from_members(group, (group.element(w) for w in labels))
 
 
-@dataclass(frozen=True)
+def _recipe_json(recipe: ColoringSpec | CensusEntry) -> dict:
+    """The spec JSON of a recipe: the group of its H, H and kind, then J, l
+    and r (type 1) or J1, J2 and y (type 2)."""
+    group = recipe.H.group
+    out: dict = {
+        "group": group.descriptor,
+        "H": recipe.H.label_list(),
+        "kind": recipe.kind,
+    }
+    if recipe.kind == "type1":
+        out["J"] = recipe.J.label_list()
+        out["l"] = group.labels[recipe.l]
+        out["r"] = group.labels[recipe.r]
+    else:
+        out["J1"] = recipe.J1.label_list()
+        out["J2"] = recipe.J2.label_list()
+        out["y"] = group.labels[recipe.y]
+    return out
+
+
 class CensusEntry:
-    spec: ColoringSpec
-    classification: Classification
-    key: tuple[tuple[int, ...], ...]
-    block_text: Mapping[tuple[int, ...], str] = field(compare=False, repr=False)
+    """One census entry: the recipe of its coloring, (J, l, r) for type 1
+    or (J1, J2, y) for type 2 inside the color group H, with its
+    classification and orbit key.
+
+    The fields of the other kind are None.  The ``ColoringSpec`` of the
+    recipe is built on first read of ``spec``; the census writers read the
+    recipe fields and never build it.
+    """
+
+    __slots__ = (
+        "H", "kind", "J", "l", "r", "J1", "J2", "y", "classification", "key", "block_text", "_spec"
+    )
+
+    def __init__(
+        self,
+        H: Subgroup,
+        kind: str,
+        recipe: tuple[Subgroup, int, int] | tuple[Subgroup, Subgroup, int],
+        classification: Classification,
+        key: tuple[tuple[int, ...], ...],
+        block_text: Mapping[tuple[int, ...], str],
+    ):
+        self.H, self.kind = H, kind
+        if kind == "type1":
+            self.J, self.l, self.r = recipe
+            self.J1 = self.J2 = self.y = None
+        else:
+            self.J = self.l = self.r = None
+            self.J1, self.J2, self.y = recipe
+        self.classification, self.key, self.block_text = classification, key, block_text
+        self._spec = None
+
+    @property
+    def spec(self) -> ColoringSpec:
+        """The ``ColoringSpec`` of the recipe, built on first read."""
+        if self._spec is None:
+            # The pipelines hold l inside H and y outside it: no checks.
+            self._spec = ColoringSpec(
+                self.H.group, self.H, self.kind, self.J, self.l, self.r, self.J1, self.J2, self.y
+            )
+        return self._spec
 
     def key_string(self) -> str:
         """``GroupPartition.key_string`` of the key, joined from block texts
@@ -231,7 +280,7 @@ class CensusEntry:
         return "|".join(map(self.block_text.__getitem__, self.key))
 
     def to_json(self) -> dict:
-        out = {"spec": self.spec.to_json()}
+        out = {"spec": _recipe_json(self)}
         out.update(self.classification.to_json())
         out["equivalenceKey"] = self.key_string()
         return out
@@ -307,14 +356,16 @@ class ColorGroupTables:
 
     def entry(
         self,
-        spec: ColoringSpec,
+        kind: str,
+        recipe: tuple[Subgroup, int, int] | tuple[Subgroup, Subgroup, int],
         key: tuple[tuple[int, ...], ...],
         colors: int,
         orbits: int,
         kernel: int,
     ) -> CensusEntry:
-        """The census entry of ``spec``, classified in closed form from the
-        counts its pipeline read once per pool subgroup.
+        """The census entry of the recipe (J, l, r) or (J1, J2, y) of
+        ``kind`` in H, classified in closed form from the counts its
+        pipeline read once per pool subgroup.
 
         ``colors`` is [H:J'] for type 1 and [H:J1] + [H:J2] for type 2, and
         ``kernel`` is the ``Subgroup.mask`` of the color action's kernel:
@@ -334,7 +385,7 @@ class ColorGroupTables:
                 kernel_order=kernel_order,
                 color_perm_group_order=self.H.order // kernel_order,
             )
-        return CensusEntry(spec, classification, key, self.text)
+        return CensusEntry(self.H, kind, recipe, classification, key, self.text)
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -375,8 +426,8 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
             # The orbit key P(lo, hi) in closed form (see the module docstring).
             lo, hi = (i, j) if J1.members < J2.members else (j, i)
             key = tuple(sorted(inside[lo] + outside[hi]))
-            spec = ColoringSpec(group, H, "type2", J1=J1, J2=J2, y=y0)  # y0 is outside H
-            entries.append(tables.entry(spec, key, colors, 2, core[i] & outside_core[j]))
+            kernel = core[i] & outside_core[j]
+            entries.append(tables.entry("type2", (J1, J2, y0), key, colors, 2, kernel))
     entries.sort(key=lambda e: e.key)
     _assert_distinct_keys(entries)
     return entries
@@ -407,8 +458,7 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
             continue
         stabilizer = tuple(e for e in base if e in in_H)
         key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
-        spec = ColoringSpec(group, H, "type1", J=J, l=l, r=r)  # l lies in H
-        entries[base] = tables.entry(spec, key, colors, 1, kernel)
+        entries[base] = tables.entry("type1", (J, l, r), key, colors, 1, kernel)
     part = sorted(entries.values(), key=lambda e: e.key)
     _assert_distinct_keys(part)
     return part
@@ -439,11 +489,13 @@ def type1_cells(tables: ColorGroupTables) -> Iterable[tuple[Subgroup, int, int, 
         J = cls[0]
         L = left_coset_reps(H, tables.h_normalizers[J.members])
         R = right_coset_reps_outside(J, G, H)
+        # Conjugation by l is an automorphism, so (l*J*l^-1, l*r*l^-1) has
+        # the verdict of (J, r): one verdict per r serves every l.  J lies
+        # in H and r outside it, so no checks.
+        verdicts = [_type1_verdict(J, r) for r in R]
         for l in L:
-            Jl = J.conjugated_by(l)
-            for r in R:
-                rl = G.conj(r, l)
-                yield J, l, rl, _type1_verdict(Jl, rl)  # J in H, r outside: no checks
+            for r, verdict in zip(R, verdicts):
+                yield J, l, G.conj(r, l), verdict
 
 
 def count_semiperfect_type1(G: FiniteGroup, H: Subgroup, J: Subgroup) -> int:
@@ -512,13 +564,13 @@ class Census:
         yield f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n  "entries": '
         opening = "[\n"
         for e in self.entries:
-            s, c = e.spec, e.classification
-            if s.kind == "type1":
-                head = f'"J": {members(s.J)}'
-                tail = f'"l": {labels[s.l]},\n        "r": {labels[s.r]}'
+            c = e.classification
+            if e.kind == "type1":
+                head = f'"J": {members(e.J)}'
+                tail = f'"l": {labels[e.l]},\n        "r": {labels[e.r]}'
             else:
-                head = f'"J1": {members(s.J1)},\n        "J2": {members(s.J2)}'
-                tail = f'"y": {labels[s.y]}'
+                head = f'"J1": {members(e.J1)},\n        "J2": {members(e.J2)}'
+                tail = f'"y": {labels[e.y]}'
             yield _entry_text(
                 opening,
                 c.color_perm_group_order,
@@ -526,10 +578,10 @@ class Census:
                 c.kernel_order,
                 c.num_color_orbits,
                 c.num_colors,
-                members(s.H),
+                members(e.H),
                 head,
                 group,
-                names[s.kind],
+                names[e.kind],
                 tail,
                 names[c.verdict],
             )

@@ -228,20 +228,19 @@ def _census_csv(census) -> Iterator[str]:
             text = lists[S.members] = " ".join(S.label_list())
         return text
 
+    labs = census.group.labels
     for e in census.entries:
-        spec = e.spec
-        if spec.H.members not in h_words:
-            h_words[spec.H.members] = generating_words(spec.H)
-        labs = spec.group.labels
-        if spec.kind == "type1":
-            detail = f"J=<{members(spec.J)}> l={labs[spec.l]} r={labs[spec.r]}"
+        if e.H.members not in h_words:
+            h_words[e.H.members] = generating_words(e.H)
+        if e.kind == "type1":
+            detail = f"J=<{members(e.J)}> l={labs[e.l]} r={labs[e.r]}"
         else:
-            detail = f"J1=<{members(spec.J1)}> J2=<{members(spec.J2)}> y={labs[spec.y]}"
+            detail = f"J1=<{members(e.J1)}> J2=<{members(e.J2)}> y={labs[e.y]}"
         c = e.classification
         yield ",".join(
             [
-                h_words[spec.H.members],
-                spec.kind,
+                h_words[e.H.members],
+                e.kind,
                 detail,
                 str(c.num_colors),
                 str(c.num_color_orbits),

@@ -21,11 +21,14 @@ early-exit test, ``GroupPartition._block_image(images, Q)``: does the
 element map ``images`` send each block of P into one block of Q?  The map
 is a table row ``table[g]`` for left translation by g, or the images of an
 automorphism (``verify.action_equivalence_check``).  With Q = P and a
-table row it decides whether g stabilizes P.  ``orbit_table`` runs it for
-every g against each translate found so far, and a match proves gP = Q,
-because gP and Q have equally many blocks; the table gives
-``equivalence_class`` and the stabilizer of every translate without
-building a translate per g.
+table row it decides whether g stabilizes P.  ``orbit_table`` starts from
+P itself for the identity and runs the test for every other g against each
+translate found so far; a match proves gP = Q, because gP and Q have
+equally many blocks.  The table keeps each g's block map, the test's own
+result, and gives ``equivalence_class`` and the stabilizer of every
+translate without building a translate per g.  ``color_action`` reads the
+permutations of H's members from those block maps, so it walks no block
+itself.
 
 No command calls the oracles or ``color_action``: only ``verify`` and the
 tests do.  They stay in this module because ``perfbench/tracing.py`` looks
@@ -256,14 +259,17 @@ def stabilized_by_whole_group(G: FiniteGroup, P: GroupPartition) -> bool:
 class OrbitTable:
     """The G-orbit of a partition P, found by testing every g once.
 
-    ``translates`` lists the distinct gP in order of first appearance,
-    ``first[i]`` is the smallest g with gP = ``translates[i]``, and
-    ``index[g]`` is the position of gP in ``translates``.
+    ``translates`` lists the distinct gP in order of first appearance, P
+    itself first, ``first[i]`` is the smallest g with gP = ``translates[i]``,
+    ``index[g]`` is the position of gP in ``translates``, and ``maps[g]`` is
+    where left translation by g sends each block index of P among the
+    blocks of gP: the block map of ``GroupPartition._block_image``.
     """
 
     translates: tuple[GroupPartition, ...]
     first: tuple[int, ...]
     index: tuple[int, ...]
+    maps: tuple[list[int], ...]
 
     def stabilizer(self, i: int) -> Subgroup:
         """The stabilizer of ``translates[i]`` = hP, h = ``first[i]``: every
@@ -275,23 +281,34 @@ class OrbitTable:
 
 
 def orbit_table(P: GroupPartition, G: FiniteGroup) -> OrbitTable:
-    """The ``OrbitTable`` of P: every g is tested against the translates
-    found so far, and starts a new one when it matches none."""
+    """The ``OrbitTable`` of P: the identity starts P itself, and every other
+    g is tested against the translates found so far, and starts a new one
+    when it matches none.  The block map of each g is the matching test's
+    own result, kept."""
     _require_partition_of(G, P)
-    translates: list[GroupPartition] = []
-    first: list[int] = []
-    index: list[int] = []
+    e = G.identity
+    translates: list[GroupPartition] = [P]
+    first: list[int] = [e]
+    index = [0] * G.order
+    maps: list[list[int] | None] = [None] * G.order
+    maps[e] = list(range(P.num_blocks))
     for g in G.elements:
+        if g == e:
+            continue
         row = G.table[g]
         for i, Q in enumerate(translates):
-            if P._block_image(row, Q) is not None:
+            image = P._block_image(row, Q)
+            if image is not None:
                 break
         else:
             i = len(translates)
-            translates.append(P.translated(g))
+            Q = P.translated(g)
+            translates.append(Q)
             first.append(g)
-        index.append(i)
-    return OrbitTable(tuple(translates), tuple(first), tuple(index))
+            image = P._block_image(row, Q)
+        index[g] = i
+        maps[g] = image
+    return OrbitTable(tuple(translates), tuple(first), tuple(index), tuple(maps))
 
 
 def equivalence_class(P: GroupPartition, G: FiniteGroup) -> list[GroupPartition]:
@@ -374,24 +391,28 @@ class ColorAction:
     classification: Classification
 
 
-def color_action(H: Subgroup, P: GroupPartition) -> ColorAction:
+def color_action(H: Subgroup, table: OrbitTable) -> ColorAction:
     """Permutations of block indices induced by each element of the
-    index-2 color group H.
+    index-2 color group H on P = ``table.translates[0]``, read from the
+    block maps of ``table`` (``orbit_table(P, G)``); no block is walked.
 
     Raises if some member of H fails to permute the blocks.  H then lies in
     the stabilizer of P and has index 2, so P is perfect exactly when one
     element outside H stabilizes it.
     """
     group = H.group
+    P = table.translates[0]
     perms = []
     kernel_members = []
     identity_perm = tuple(range(P.num_blocks))
     for h in H.members:
-        perm = P.permutation_induced_by(h)
+        if table.index[h] != 0:
+            raise InvalidParameterError(f"{group.labels[h]} does not map blocks onto blocks")
+        perm = tuple(table.maps[h])
         perms.append(perm)
         if perm == identity_perm:
             kernel_members.append(h)
-    verdict = PERFECT if P.is_stabilized_by(smallest_outside(H)) else SEMIPERFECT
+    verdict = PERFECT if table.index[smallest_outside(H)] == 0 else SEMIPERFECT
     # Orbits of H on blocks.
     seen: set[int] = set()
     orbits = 0

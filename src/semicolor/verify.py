@@ -21,8 +21,9 @@ shares it: ``one-orbit-oracle`` builds one partition per right coset J*r,
 
 Each brute-force question tests every g in G once and stops when the
 answer is known.  ``orbit-size-two`` builds one ``orbit_table`` per entry,
-which names the translate gP for every g, and reads both the orbit and the
-stabilizer of each translate from it.  The perfect verdicts of
+which names the translate gP and keeps the block map for every g, and reads
+the orbit, the stabilizer of each translate and, through ``color_action``,
+the color action of H from it.  The perfect verdicts of
 ``one-orbit-oracle`` and ``two-orbit-oracle`` come from
 ``stabilized_by_whole_group``, which stops at the first g that splits a
 block.  ``conjugate-transport`` holds each entry that ``conjugate_spec``
@@ -303,7 +304,7 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
             suite.check(
                 len(stabs) == 1, lambda: f"orbit stabilizers differ for {entry.key_string()}"
             )
-            cls = color_action(H, entry.spec.partition).classification
+            cls = color_action(H, table).classification
             # Orbit-stabilizer: the orbit size under G decides the verdict.
             # The census classifies in closed form; the oracle must agree.
             suite.check(

@@ -28,6 +28,7 @@ from semicolor.groups import (
     generating_words,
     group_from_descriptor,
     parse_group_arg,
+    right_coset_reps_outside,
     subgroup_from_words,
     subgroups_of_index,
     whole_group,
@@ -39,6 +40,7 @@ from semicolor.partitions import (
     color_action,
     equivalence_class,
     equivalence_key,
+    orbit_table,
     partition_stabilizer,
     smallest_outside,
     type1_partition,
@@ -284,7 +286,7 @@ def test_closed_form_classification_matches_color_action():
     checked = 0
     for descriptor, G, H in _color_group_sweep():
         for entry in enumerate_type1(ColorGroupTables(G, H)) + enumerate_type2(ColorGroupTables(G, H)):
-            oracle = color_action(H, entry.spec.partition).classification
+            oracle = color_action(H, orbit_table(entry.spec.partition, G)).classification
             assert entry.classification == oracle, (descriptor, entry.key_string())
             checked += 1
     assert checked == 5617
@@ -396,14 +398,71 @@ def test_type1_cells_verdicts_match_classify_type1(descriptor):
     assert cells > 0
 
 
+RECORD_GROUPS = [f"dihedral:{n}" for n in range(3, 9)] + ["p4m_quotient:1", "p4m_quotient:2"]
+
+
+@pytest.mark.parametrize("descriptor", RECORD_GROUPS)
+def test_type1_cells_make_one_verdict_per_coset(monkeypatch, descriptor):
+    # Conjugation by l is an automorphism, so the verdict of (J, r) serves
+    # every l: the grid makes one per (J, r), with r a right coset
+    # representative of J outside H, and none per l.
+    made = Counter()
+    plain = census._type1_verdict
+
+    def counted(J, r):
+        made[J.members, r] += 1
+        return plain(J, r)
+
+    monkeypatch.setattr(census, "_type1_verdict", counted)
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    for H in subgroups_of_index(G, 2):
+        tables = ColorGroupTables(G, H)
+        made.clear()
+        cells = sum(1 for _ in type1_cells(tables))
+        want = Counter(
+            (cls[0].members, r)
+            for cls in tables.classes
+            for r in right_coset_reps_outside(cls[0], G, H)
+        )
+        assert made == want and set(made.values()) == {1}, (descriptor, H)
+        assert sum(want.values()) == sum(H.order // cls[0].order for cls in tables.classes)
+        assert cells >= sum(want.values())
+
+
+@pytest.mark.parametrize("descriptor", RECORD_GROUPS)
+def test_census_entries_are_recipe_records(monkeypatch, descriptor):
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    result = enumerate_all_semiperfect(G)
+    assert result.entries
+    # The writers read the recipe fields: no entry builds its spec.
+    with monkeypatch.context() as m:
+        built = []
+        m.setattr(census, "ColoringSpec", lambda *args: built.append(args))
+        "".join(result.chunks())
+        "".join(_census_csv(result))
+        result.to_json()
+        assert built == []
+    for entry in result.entries:
+        assert not hasattr(entry, "__dict__")
+        if entry.kind == "type1":
+            assert (entry.J1, entry.J2, entry.y) == (None, None, None)
+            want = ColoringSpec.type1(entry.H, entry.J, entry.r, entry.l)
+        else:
+            assert (entry.J, entry.l, entry.r) == (None, None, None)
+            want = ColoringSpec.type2(entry.H, entry.J1, entry.J2, entry.y)
+        assert entry.spec == want
+        assert entry.spec is entry.spec  # built once
+        assert entry.to_json()["spec"] == entry.spec.to_json()
+
+
 @pytest.mark.parametrize("pipeline, kind", [(enumerate_type1, "type1"), (enumerate_type2, "type2")])
 def test_a_duplicated_key_raises_in_either_pipeline(monkeypatch, d6, hexH, pipeline, kind):
     # Each pipeline checks its own part and the census adds no check of its
     # own, so a forced duplicate raises through enumerate_all_semiperfect too.
     plain = ColorGroupTables.entry
 
-    def one_key(self, spec, key, colors, orbits, kernel):
-        return plain(self, spec, ((d6.identity,),), colors, orbits, kernel)
+    def one_key(self, kind, recipe, key, colors, orbits, kernel):
+        return plain(self, kind, recipe, ((d6.identity,),), colors, orbits, kernel)
 
     monkeypatch.setattr(ColorGroupTables, "entry", one_key)
     message = "census produced a duplicated equivalence class"

@@ -277,7 +277,7 @@ class TestEquivalence:
 
 class TestColorAction:
     def test_worked_example_table(self, d6, hexH, four_color):
-        action = color_action(hexH, four_color)
+        action = color_action(hexH, orbit_table(four_color, d6))
         # Fixed color names keyed by block content.
         by_content = {
             ("e", "a^2b"): "yellow",
@@ -300,7 +300,7 @@ class TestColorAction:
         assert cycle_image("e") == {n: n for n in names}
 
     def test_worked_example_classification(self, d6, hexH, four_color):
-        cls = color_action(hexH, four_color).classification
+        cls = color_action(hexH, orbit_table(four_color, d6)).classification
         assert cls.verdict == SEMIPERFECT
         assert cls.num_colors == 4
         assert cls.num_color_orbits == 2
@@ -309,18 +309,18 @@ class TestColorAction:
 
     def test_rejects_non_invariant_subgroup(self, d6, four_color):
         with pytest.raises(InvalidParameterError):
-            color_action(whole_group(d6), four_color)
+            color_action(whole_group(d6), orbit_table(four_color, d6))
 
     def test_kernel_product_law(self, d6, hexH):
         for J in all_subgroups(hexH):
             for r in list(hexH.complement())[:3]:
-                cls = color_action(hexH, type1_partition(hexH, J, r)).classification
+                cls = color_action(hexH, orbit_table(type1_partition(hexH, J, r), d6)).classification
                 assert cls.kernel_order * cls.color_perm_group_order == hexH.order
 
     def test_one_orbit_for_type1_partitions(self, d6, hexH):
         for J in all_subgroups(hexH):
             P = type1_partition(hexH, J, d6.element("a"))
-            assert color_action(hexH, P).classification.num_color_orbits == 1
+            assert color_action(hexH, orbit_table(P, d6)).classification.num_color_orbits == 1
 
     def test_verdict_matches_stabilizer_oracle(self, d6, g2):
         cases = [
@@ -337,7 +337,7 @@ class TestColorAction:
             ]
             for P in partitions:
                 perfect = partition_stabilizer(G, P).is_whole_group()
-                verdict = color_action(H, P).classification.verdict
+                verdict = color_action(H, orbit_table(P, G)).classification.verdict
                 assert verdict == (PERFECT if perfect else SEMIPERFECT)
 
 
@@ -535,8 +535,12 @@ def assert_oracles_match_reference(G, P):
     # the table is that of the translate itself.
     table = orbit_table(P, G)
     assert len(table.translates) == len(table.first) == len(first)
+    assert table.translates[0] is P
     for g in G.elements:
-        assert table.translates[table.index[g]].blocks == reference_translated(P, g)
+        Q = table.translates[table.index[g]]
+        assert Q.blocks == reference_translated(P, g)
+        # The block map sends block i to the block of gP holding g*B_i.
+        assert table.maps[g] == [Q.block_of[G.table[g][B[0]]] for B in P.blocks]
     for i, Q in enumerate(table.translates):
         assert table.first[i] == first[Q.blocks]
         assert table.stabilizer(i).members == reference_partition_stabilizer(G, Q)
@@ -549,6 +553,68 @@ def assert_oracles_match_reference(G, P):
     if splitting is not None:
         with pytest.raises(InvalidParameterError):
             P.permutation_induced_by(splitting)
+
+
+def reference_color_action(H, P):
+    """The color action of H on P, one block-image walk per member of H and
+    one for the smallest element outside H: the oracle that
+    ``color_action`` reads from an orbit table instead."""
+    perms = [P.permutation_induced_by(h) for h in H.members]
+    identity_perm = tuple(range(P.num_blocks))
+    kernel = tuple(h for h, perm in zip(H.members, perms) if perm == identity_perm)
+    perfect = P.is_stabilized_by(smallest_outside(H))
+    seen, orbits = set(), 0
+    for start in range(P.num_blocks):
+        if start in seen:
+            continue
+        orbits += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            b = stack.pop()
+            for perm in perms:
+                if perm[b] not in seen:
+                    seen.add(perm[b])
+                    stack.append(perm[b])
+    return tuple(perms), kernel, (
+        PERFECT if perfect else SEMIPERFECT,
+        P.num_blocks,
+        orbits,
+        len(kernel),
+        H.order // len(kernel),
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [f"dihedral:{n}" for n in range(3, 9)] + ["p4m_quotient:1", "p4m_quotient:2"]
+)
+def test_color_action_matches_reference_walk_on_census(name):
+    kind, n = name.split(":")
+    G = build_dihedral(int(n)) if kind == "dihedral" else build_p4m_quotient(int(n))
+    entries = enumerate_all_semiperfect(G).entries
+    assert entries
+    for entry in entries:
+        H, P = entry.H, entry.spec.partition
+        action = color_action(H, orbit_table(P, G))
+        perms, kernel, cls = reference_color_action(H, P)
+        assert action.partition is P
+        assert action.permutations == perms
+        assert action.kernel.members == kernel
+        c = action.classification
+        assert (
+            c.verdict, c.num_colors, c.num_color_orbits, c.kernel_order, c.color_perm_group_order
+        ) == cls
+
+
+def test_color_action_matches_reference_walk_on_perfect_partitions(d6, hexH):
+    # Census entries are all semiperfect; a perfect one reads its verdict
+    # from the translate of the element outside H, which is P itself.
+    for J in all_subgroups(hexH):
+        P = type2_partition(hexH, J, J)
+        action = color_action(hexH, orbit_table(P, d6))
+        perms, kernel, cls = reference_color_action(hexH, P)
+        assert (action.permutations, action.kernel.members) == (perms, kernel)
+        assert action.classification.verdict == cls[0] == PERFECT
 
 
 def test_translated_matches_reference():
