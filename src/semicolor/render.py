@@ -18,11 +18,11 @@ coordinate plus a shift i*period with i >= 0 and a positive period, and
 -0.0 + 0.0 == 0.0.
 
 Every repeat block draws the same tiles, so the polygons of one block are
-one %-template, built once per call: each tile's label, block number and
-fill are written into it (any % doubled), and each tile id and coordinate
-is a %s.  A cell fills the template once, from one tuple that
-``itemgetter`` gathers out of the cell's tile-id strings and its x-text and
-y-text rows.
+one list of constant pieces, built once per call: each tile's label, block
+number and fill are written into them as they are.  Between each two pieces
+goes a tile id or a coordinate text: a cell writes them into the odd slots
+of the list, as one tuple that ``itemgetter`` gathers out of the cell's
+tile-id strings and its x-text and y-text rows, and joins the list once.
 
 Every block carries the same coloring, so which edges a block strokes
 depends only on which neighbouring blocks exist: they are classified on the
@@ -36,6 +36,17 @@ block on an axis is its own class where either fails there: where the tiles
 span two periods or more (the drawn extent reaches count + 1 periods), or
 where the rounded ranks are not periodic (a value's rank in shift i is not
 its rank in shift 0 plus i times one step D).
+
+Where both axes are tiled (neither fails), every edge key moves by the
+same s * (size + 1) from block (0, 0) to the block i, j blocks away, where
+size is the number of point keys and s = i*dx + j*dy for the point-key
+steps dx and dy of one block along each axis.  So most edges are
+classified once, on block (0, 0): an edge that two or more of its tiles
+draw lies inside every block when no neighbouring block draws it, that is
+when its key less s * (size + 1) is no edge key of block (0, 0) for the s
+of any neighbour (i, j in -1..1, not both 0, and 0 on an axis of one
+block).  Every class block strokes such an edge, exactly when its tiles'
+blocks differ.  Only the other edges go through the class blocks.
 """
 
 from __future__ import annotations
@@ -108,8 +119,9 @@ def render_svg(
 
     labels = [tile_map.group.labels[g] for g in tile_map.group.elements]
     polys = [tile_map.domains[lab] for lab in labels]
-    xs, x_rank, x_rows, mc = _axis([x for poly in polys for x, _ in poly], m, cx)
-    ys, y_rank, y_rows, nc = _axis([y for poly in polys for _, y in poly], n, cy)
+    xs, x_rank, x_rows, x_tiled = _axis([x for poly in polys for x, _ in poly], m, cx)
+    ys, y_rank, y_rows, y_tiled = _axis([y for poly in polys for _, y in poly], n, cy)
+    mc, nc = min(m, 3) if x_tiled else m, min(n, 3) if y_tiled else n
     ny = y_rank[-1] + 1
     size = (x_rank[-1] + 1) * ny
 
@@ -130,62 +142,96 @@ def render_svg(
         spans.append((a, a + len(poly)))
         nxt += [*range(a + 1, a + len(poly)), a]
     blocks = [block_of[lab] for lab in labels]
-    # The block's template, and for each %s in it an index into a cell's
-    # [tile ids..., x texts..., y texts...].
+    # The block's text: constant pieces at the even indices, a cell's values
+    # at the odd ones, indexed by order in its [tile ids..., x texts...,
+    # y texts...].
     count, total = len(polys), len(nxt)
-    polygons, order = [], []
+    text, order = [""], []
     for t, ((a, b), lab, block) in enumerate(zip(spans, labels, blocks)):
-        label, fill = lab.replace("%", "%%"), palette_fill(palette, block).replace("%", "%%")
-        points = " ".join(["%s,%s"] * (b - a))
-        polygons.append(
-            f'<polygon id="tile-%s" data-label="{label}" data-block="{block}" '
-            f'points="{points}" fill="{fill}" stroke="none"/>'
-        )
+        text[-1] += '\n<polygon id="tile-' if t else '<polygon id="tile-'
+        text += [None, f'" data-label="{lab}" data-block="{block}" points="',
+                 *[None, ",", None, " "] * (b - a)]
+        text[-1] = f'" fill="{palette_fill(palette, block)}" stroke="none"/>'
         order.append(t)
         for p in range(count + a, count + b):
             order += (p, p + total)
-    template, gather = "\n".join(polygons), itemgetter(*order)
+    gather = itemgetter(*order)
     # SVG y grows downward; flip so counterclockwise stays counterclockwise.
     fx, fy = [_fmt(SCALE * x) for x in xs], [_fmt(-SCALE * y) for y in ys]
     x_text = [[fx[i] for i in row] for row in x_rows]
     x_key = [[x_rank[i] * ny for i in row] for row in x_rows]
     y_text = [[fy[i] for i in row] for row in y_rows]
     y_key = [[y_rank[i] for i in row] for row in y_rows]
+    # The edges left to the class blocks as (p, q, its tile's block): all,
+    # or on tiled axes those not inside a block.  inside: the interior edges
+    # every class block strokes, as their ends (p, q), smaller key first.
+    rest = [
+        (p, q, block)
+        for (a, b), block in zip(spans, blocks) for p, q in zip(range(a, b), nxt[a:b])
+    ]
+    inside = []
+    if x_tiled and y_tiled:
+        keys = list(map(add, x_key[0], y_key[0]))
+        at: dict[int, list] = {}  # edge key -> its points in block (0, 0)
+        for p, q, _ in rest:
+            kp, kq = keys[p], keys[q]
+            at.setdefault(kq * size + kp if kq < kp else kp * size + kq, []).append(p)
+        dx = x_key[1][0] - x_key[0][0] if m > 1 else 0
+        dy = y_key[1][0] - y_key[0][0] if n > 1 else 0
+        # The keys a neighbouring block draws: those of block (0, 0) moved
+        # by s * (size + 1), where s = i*dx + j*dy moves each end's key.
+        shifts = [
+            (i * dx + j * dy) * (size + 1)
+            for i in ((-1, 0, 1) if m > 1 else (0,)) for j in ((-1, 0, 1) if n > 1 else (0,))
+            if i or j
+        ]
+        near = {key + s for s in shifts for key in at}
+        outer = []
+        for key, ps in at.items():
+            if len(ps) < 2 or key in near:
+                outer += ps
+            elif len({rest[p][2] for p in ps}) > 1:
+                p = ps[0]
+                inside.append((nxt[p], p) if keys[nxt[p]] < keys[p] else (p, nxt[p]))
+        rest = [rest[p] for p in sorted(outer)]
     # Edge slots on the class blocks: the first block drawn, then 0 not seen
     # again, 1 again with that block only, 2 with another; and the class
-    # block first drawing it, with its start and is it the larger end.  Edges
-    # seen once or with two blocks are stroked by that class's blocks.
+    # block first drawing it, with its ends smaller key first.  Edges seen
+    # once or with two blocks are stroked by that class's blocks.
     edges: dict[int, list] = {}
     for ci, xk in enumerate(x_key[:mc]):
         for cj, yk in enumerate(y_key[:nc]):
-            for (a, b), block in zip(spans, blocks):
-                keys = list(map(add, xk[a:b], yk[a:b]))
-                for p, kp in enumerate(keys, a):
-                    kq = keys[p + 1 - b]
-                    key = kq * size + kp if kq < kp else kp * size + kq
-                    slot = edges.get(key)
-                    if slot is None:
-                        edges[key] = [block, 0, (ci, cj), p, kq < kp]
-                    elif block != slot[0]:
-                        slot[1] = 2
-                    elif not slot[1]:
-                        slot[1] = 1
-    owned, drawn, k = {}, [], 0  # class block -> stroked (p, q); (key, line); next tile id
-    for _, seen, c, p, swapped in edges.values():
-        if seen != 1:  # its ends (p, q), smaller key first
-            owned.setdefault(c, []).append((nxt[p], p) if swapped else (p, nxt[p]))
+            keys = list(map(add, xk, yk))
+            for p, q, block in rest:
+                kp, kq = keys[p], keys[q]
+                key = kq * size + kp if kq < kp else kp * size + kq
+                slot = edges.get(key)
+                if slot is None:
+                    edges[key] = [block, 0, (ci, cj), (q, p) if kq < kp else (p, q)]
+                elif block != slot[0]:
+                    slot[1] = 2
+                elif not slot[1]:
+                    slot[1] = 1
+    # Class block -> stroked (p, q); (key, line); next tile id.
+    owned = {(ci, cj): list(inside) for ci in range(mc) for cj in range(nc)}
+    drawn, k = [], 0
+    for _, seen, c, ends in edges.values():
+        if seen != 1:
+            owned[c].append(ends)
     for i, (xr, xt, xk) in enumerate(zip(x_rows, x_text, x_key)):
         ci = mc - 1 if i == m - 1 else min(i, mc - 2)
         for j, (yr, yt, yk) in enumerate(zip(y_rows, y_text, y_key)):
-            lines.append(template % gather([*map(str, range(k, k + count)), *xt, *yt]))
+            text[1::2] = gather([*map(str, range(k, k + count)), *xt, *yt])
+            lines.append("".join(text))
             k += count
             drawn += [
                 ((xk[p] + yk[p]) * size + xk[q] + yk[q],
                  f'<line x1="{fx[xr[p]]}" y1="{fy[yr[p]]}" x2="{fx[xr[q]]}" y2="{fy[yr[q]]}" '
                  'stroke="#1a1a1a" stroke-width="2" stroke-linecap="round"/>')
-                for p, q in owned.get((ci, nc - 1 if j == n - 1 else min(j, nc - 2)), ())
+                for p, q in owned[ci, nc - 1 if j == n - 1 else min(j, nc - 2)]
             ]
-    lines += [line for _, line in sorted(drawn)]
+    drawn.sort(key=itemgetter(0))  # keys are distinct: one block strokes an edge
+    lines += [line for _, line in drawn]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -195,9 +241,9 @@ def _axis(values, count, period):
 
     Returns the distinct drawn values (a coordinate plus i*period for i in
     range(count)) in order, the rank of each one's 6-place rounding, per
-    shift i the coordinates as indices into the drawn values, and the number
-    of block classes on the axis: min(count, 3), or count when tiles can
-    meet two blocks away or the ranks are not periodic.
+    shift i the coordinates as indices into the drawn values, and whether
+    the axis is tiled: the ranks are periodic and tiles meet only tiles of
+    adjacent blocks (the drawn extent is under count + 1 periods).
     """
     distinct = list(set(values))
     shifted = [{v: v + i * period for v in distinct} for i in range(count)]
@@ -211,6 +257,5 @@ def _axis(values, count, period):
     periodic = all(
         r == r0 + i * d for i, row in enumerate(rest, 1) for r, r0 in zip(row, base)
     )
-    spans_two = drawn[-1] - drawn[0] >= (count + 1) * period
-    classes = min(count, 3) if periodic and not spans_two else count
-    return drawn, ranks, [[index[row[v]] for v in values] for row in shifted], classes
+    tiled = periodic and drawn[-1] - drawn[0] < (count + 1) * period
+    return drawn, ranks, [[index[row[v]] for v in values] for row in shifted], tiled

@@ -161,6 +161,16 @@ class TestP4mQuotient:
         assert g4.element("xY") == g4.mul(g4.element("x"), g4.inv(g4.element("y")))
 
 
+@pytest.mark.parametrize(
+    "name", [f"dihedral:{n}" for n in range(1, 13)] + [f"p4m_quotient:{N}" for N in range(1, 5)]
+)
+def test_every_label_parses_back_to_its_element(name):
+    # Spec files store labels; render and conjugate resolve them through
+    # FiniteGroup.element.
+    group = group_from_descriptor(parse_group_arg(name))
+    assert [group.element(group.labels[g]) for g in group.elements] == list(group.elements)
+
+
 def naive_closure(group, seed):
     """Independent oracle: multiply all pairs until nothing new appears."""
     members = set(seed) | {group.identity}

@@ -284,7 +284,7 @@ class TestRendererOracle:
             tm, all_cells = hexagon_tile_map(d6), [(1, 1)]
         else:
             tm = p4m_tile_map(build_p4m_quotient(int(pattern[-1])))
-            all_cells = [(2, 2)] if pattern == "p4m4" else [(1, 1), (2, 3), (3, 2), (1, 7)]
+            all_cells = [(2, 2)] if pattern == "p4m4" else [(1, 1), (2, 3), (3, 2), (1, 7), (4, 4)]
         rng = random.Random(f"{pattern}-{palette}")
         for cells in all_cells:
             for _ in range(3):
@@ -373,6 +373,26 @@ class TestRendererOracle:
             tm, block_of, "default", cells
         )
 
+    @pytest.mark.parametrize("cells", [(1, 1), (2, 1), (3, 1), (4, 2), (5, 3)],
+                             ids=lambda cells: "%dx%d" % cells)
+    @pytest.mark.parametrize("blocks", [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)])
+    def test_edge_of_two_tiles_met_by_a_neighbouring_block(self, cells, blocks):
+        # "e" and "c" share the edge (0, 0)-(1, 0) inside block (0, 0), and
+        # "d" shifted one period right draws it too: three tiles on one edge
+        # across adjacent blocks, so it is not interior to a block.
+        group = FiniteGroup(("e", "c", "d"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]], {"c": 1},
+                            {"kind": "test"})
+        domains = {
+            "e": ((0.0, 0.0), (1.0, 0.0), (0.5, 0.5)),
+            "c": ((1.0, 0.0), (0.0, 0.0), (0.5, -0.5)),
+            "d": ((-1.5, 0.0), (-0.5, 0.0), (-1.0, 0.5)),
+        }
+        tm = TileMap(pattern="test", group=group, domains=domains, cell=(1.5, 1.5))
+        block_of = dict(zip(("e", "c", "d"), blocks))
+        assert render_svg(tm, block_of, "default", cells) == reference_render_svg(
+            tm, block_of, "default", cells
+        )
+
     def test_hexagon_specs_against_every_block_reference(self, d6, four_color_spec):
         tm = hexagon_tile_map(d6)
         census = enumerate_all_semiperfect(d6, H_filter=standard_color_groups(d6))
@@ -385,8 +405,8 @@ class TestRendererOracle:
 
     @pytest.mark.parametrize("cells", [(1, 1), (2, 3)])
     def test_percent_signs_in_labels_and_fills(self, monkeypatch, cells):
-        # Labels and fills are baked into a %-template of the repeat block;
-        # a % in them must come out as written.
+        # Labels and fills are written into the constant text of the repeat
+        # block; a % in them must come out as written.
         monkeypatch.setitem(PALETTES, "percent", ("50%", "%s"))
         group = FiniteGroup(("%s", "50%"), [[0, 1], [1, 0]], {"t": 1}, {"kind": "test"})
         domains = {
