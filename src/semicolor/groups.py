@@ -247,6 +247,12 @@ class Subgroup:
             m |= 1 << g
         return m
 
+    @cached_property
+    def _coset_reps(self) -> dict[tuple[int, ...], list[int]]:
+        """``left_coset_reps(self, K)`` of each K asked for so far, keyed by
+        ``K.members``."""
+        return {}
+
     @property
     def order(self) -> int:
         return len(self.members)
@@ -644,17 +650,26 @@ def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
 
 
 def left_coset_reps(H: Subgroup, K: Subgroup) -> list[int]:
-    """Smallest representative of each left coset of K in H, ascending."""
+    """Smallest representative of each left coset of K in H, ascending.
+
+    The list is computed once per ``K.members`` and kept on H, so callers
+    share it and must not change it.  K is checked against H on every call,
+    before the kept list is read.
+    """
     if not K.is_subset_of(H):
         raise InvalidParameterError("coset representatives need K contained in H")
-    group = H.group
+    reps = H._coset_reps.get(K.members)
+    if reps is not None:
+        return reps
+    table = H.group.table
     seen: set[int] = set()
     reps = []
     for h in H.members:  # ascending, so the first hit is the smallest member
         if h in seen:
             continue
         reps.append(h)
-        seen.update(group.table[h][k] for k in K.members)
+        seen.update(table[h][k] for k in K.members)
+    H._coset_reps[K.members] = reps
     return reps
 
 

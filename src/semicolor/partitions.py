@@ -21,14 +21,14 @@ early-exit test, ``GroupPartition._block_image(images, Q)``: does the
 element map ``images`` send each block of P into one block of Q?  The map
 is a table row ``table[g]`` for left translation by g, or the images of an
 automorphism (``verify.action_equivalence_check``).  With Q = P and a
-table row it decides whether g stabilizes P.  ``orbit_table`` starts from
-P itself for the identity and runs the test for every other g against each
-translate found so far; a match proves gP = Q, because gP and Q have
-equally many blocks.  The table keeps each g's block map, the test's own
-result, and gives ``equivalence_class`` and the stabilizer of every
-translate without building a translate per g.  ``color_action`` reads the
-permutations of H's members from those block maps, so it walks no block
-itself.
+table row it decides whether g stabilizes P.  ``orbit_table`` runs that
+test once per g, which gives Stab(P) and the block maps of its members;
+by orbit-stabilizer gP depends only on the left coset g*Stab(P), so each
+other coset builds its translate once and reads the block maps of its
+members off that translate's ``block_of`` without a walk.  The table gives
+``equivalence_class`` and the stabilizer of every translate without
+building a translate per g.  ``color_action`` reads the permutations of
+H's members from those block maps, so it walks no block itself.
 
 No command calls the oracles or ``color_action``: only ``verify`` and the
 tests do.  They stay in this module because ``perfbench/tracing.py`` looks
@@ -281,33 +281,40 @@ class OrbitTable:
 
 
 def orbit_table(P: GroupPartition, G: FiniteGroup) -> OrbitTable:
-    """The ``OrbitTable`` of P: the identity starts P itself, and every other
-    g is tested against the translates found so far, and starts a new one
-    when it matches none.  The block map of each g is the matching test's
-    own result, kept."""
+    """The ``OrbitTable`` of P, from one block-image walk per g.
+
+    Every g is tested once against P itself, which gives Stab(P) and the
+    block map of each of its members.  By orbit-stabilizer, gP depends only
+    on the left coset g*Stab(P): the smallest g not yet placed starts the
+    translate Q = gP, and each g*s of its coset sends block B of P to the
+    block of Q holding (g*s)*B[0], read off without a walk.
+    """
     _require_partition_of(G, P)
-    e = G.identity
-    translates: list[GroupPartition] = [P]
-    first: list[int] = [e]
-    index = [0] * G.order
+    table = G.table
+    stabilizer = []
     maps: list[list[int] | None] = [None] * G.order
-    maps[e] = list(range(P.num_blocks))
     for g in G.elements:
-        if g == e:
+        image = P._block_image(table[g])
+        if image is not None:
+            stabilizer.append(g)
+            maps[g] = image
+    translates: list[GroupPartition] = [P]
+    first: list[int] = [G.identity]
+    index = [0] * G.order
+    heads = [block[0] for block in P.blocks]
+    for g in G.elements:
+        if maps[g] is not None:
             continue
-        row = G.table[g]
-        for i, Q in enumerate(translates):
-            image = P._block_image(row, Q)
-            if image is not None:
-                break
-        else:
-            i = len(translates)
-            Q = P.translated(g)
-            translates.append(Q)
-            first.append(g)
-            image = P._block_image(row, Q)
-        index[g] = i
-        maps[g] = image
+        i = len(translates)
+        Q = P.translated(g)
+        translates.append(Q)
+        first.append(g)
+        bid, row = Q.block_of, table[g]
+        for s in stabilizer:
+            gs = row[s]
+            index[gs] = i
+            moved = table[gs]
+            maps[gs] = [bid[moved[b]] for b in heads]
     return OrbitTable(tuple(translates), tuple(first), tuple(index), tuple(maps))
 
 

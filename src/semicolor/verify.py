@@ -16,14 +16,24 @@ the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
 ``grid-pairing`` walks their ``type1_cells`` and reads the normalizers.
 Only ``census-determinism`` runs two whole enumerations of its own.
 Oracles run once per distinct input and are checked for every input that
-shares it: ``one-orbit-oracle`` builds one partition per right coset J*r,
-``diagram-soundness`` one diagram per distinct conjugate of J.
+shares it.  The sweep keeps each partition a suite asks for, built on
+first use: a type-1 partition once per (J, J*r), since it depends only on
+the right coset J*r, and a type-2 one once per ordered (J1, J2).
+``one-orbit-oracle``, ``two-orbit-oracle``, ``orbit-size-two`` (through
+J^l and r for a type-1 entry) and ``grid-pairing`` read their partitions
+from it; ``conjugate-transport`` reads each entry's own spec.  The left
+coset representatives every partition is built from are kept on H by
+``left_coset_reps``.  ``diagram-soundness`` builds one diagram per
+distinct conjugate of J.  Once ``conjugate-transport`` has run, the sweeps
+are dropped, so their partitions are freed before ``diagram-soundness``
+and the enumerations of ``census-determinism``, which read none of them.
 
 Each brute-force question tests every g in G once and stops when the
 answer is known.  ``orbit-size-two`` builds one ``orbit_table`` per entry,
-which names the translate gP and keeps the block map for every g, and reads
-the orbit, the stabilizer of each translate and, through ``color_action``,
-the color action of H from it.  The perfect verdicts of
+which walks the blocks once per g to find the stabilizer, names the
+translate gP and keeps the block map of every g, and reads the orbit, the
+stabilizer of each translate and, through ``color_action``, the color
+action of H from it.  The perfect verdicts of
 ``one-orbit-oracle`` and ``two-orbit-oracle`` come from
 ``stabilized_by_whole_group``, which stops at the first g that splits a
 block.  ``conjugate-transport`` holds each entry that ``conjugate_spec``
@@ -51,6 +61,7 @@ from typing import Callable, Iterable, Iterator
 
 from .census import (
     Census,
+    CensusEntry,
     ColorGroupTables,
     GroupAutomorphism,
     enumerate_all_semiperfect,
@@ -130,14 +141,42 @@ class VerificationReport:
 
 
 class _Sweep:
-    """What the suites read of one color group H, built once: its tables
-    and the entries of both census pipelines, all under one cap."""
+    """What the suites read of one color group H, built once: its tables,
+    the entries of both census pipelines, all under one cap, and each
+    partition a suite asks for, built on first use."""
 
     def __init__(self, G: FiniteGroup, H: Subgroup, cap: int | None):
         self.H = H
         self.tables = ColorGroupTables(G, H, cap)
         self.type2 = enumerate_type2(self.tables)
         self.type1 = enumerate_type1(self.tables)
+        self.type1_partitions: dict[tuple[tuple[int, ...], int], GroupPartition] = {}
+        self.type2_partitions: dict[tuple[tuple[int, ...], ...], GroupPartition] = {}
+
+    def type1_partition(self, J: Subgroup, r: int) -> GroupPartition:
+        """``type1_partition(H, J, r)``, one per right coset J*r, which is
+        named by its smallest member."""
+        table = self.H.group.table
+        key = (J.members, min(table[j][r] for j in J.members))
+        P = self.type1_partitions.get(key)
+        if P is None:
+            P = self.type1_partitions[key] = type1_partition(self.H, J, r)
+        return P
+
+    def type2_partition(self, J1: Subgroup, J2: Subgroup) -> GroupPartition:
+        """``type2_partition(H, J1, J2)``, one per ordered pair."""
+        key = (J1.members, J2.members)
+        P = self.type2_partitions.get(key)
+        if P is None:
+            P = self.type2_partitions[key] = type2_partition(self.H, J1, J2)
+        return P
+
+    def partition_of(self, entry: CensusEntry) -> GroupPartition:
+        """The partition of a census entry's recipe: that of
+        ``entry.spec.partition``, read through J^l and r for type 1."""
+        if entry.kind == "type1":
+            return self.type1_partition(entry.J.conjugated_by(entry.l), entry.r)
+        return self.type2_partition(entry.J1, entry.J2)
 
 
 def _timed(suite: Suite, fn):
@@ -177,6 +216,9 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
         _timed(Suite("census-counts"), lambda s: _suite_counts(s, G, sweeps, cap)),
         _timed(Suite("conjugate-transport"), lambda s: _suite_transport(s, G, sweeps)),
     ]
+    # No later suite reads the sweeps: free their partitions before the
+    # diagrams and the two determinism enumerations are built.
+    del sweeps
     if G.descriptor.get("kind") == "p4m_quotient":
         suites.append(
             _timed(Suite("diagram-soundness"), lambda s: _suite_diagram(s, G, exhaustive))
@@ -266,7 +308,7 @@ def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
             for r in outside:
                 coset = min(table[j][r] for j in J.members)
                 if coset not in perfect_by_coset:
-                    P = type1_partition(H, J, r)
+                    P = sweep.type1_partition(J, r)
                     perfect_by_coset[coset] = stabilized_by_whole_group(G, P)
                 fast = classify_type1(J, r, H).perfect
                 suite.check(
@@ -280,7 +322,7 @@ def _suite_type2(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         H = sweep.H
         for J1, J2 in combinations_with_replacement(sweep.tables.pool, 2):
             fast = classify_type2(J1, J2, H) == PERFECT
-            oracle = stabilized_by_whole_group(G, type2_partition(H, J1, J2))
+            oracle = stabilized_by_whole_group(G, sweep.type2_partition(J1, J2))
             suite.check(
                 fast == oracle,
                 lambda: f"two-orbit verdict mismatch J1={J1} J2={J2} H={H}",
@@ -291,7 +333,7 @@ def _suite_orbits(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     for sweep in sweeps:
         H = sweep.H
         for entry in sweep.type2 + sweep.type1:
-            table = orbit_table(entry.spec.partition, G)
+            table = orbit_table(sweep.partition_of(entry), G)
             orbit = sorted(table.translates, key=lambda P: P.blocks)
             suite.check(
                 len(orbit) == 2
@@ -323,7 +365,7 @@ def _suite_pairing(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         for bJ, l, r, verdict in type1_cells(tables):
             if verdict.perfect:
                 continue
-            P = type1_partition(H, bJ.conjugated_by(l), r)
+            P = sweep.type1_partition(bJ.conjugated_by(l), r)
             per_class.setdefault(bJ.members, {}).setdefault(
                 equivalence_key(P, H), []
             ).append((l, r))

@@ -474,6 +474,36 @@ class TestCosetsAndNormalizers:
                 covered |= coset
             assert covered == set(hexH.members)
 
+    def test_kept_coset_reps_are_read_after_the_checks(self):
+        G = build_dihedral(4)
+        H = subgroup_from_words(G, "a")
+        K = subgroup_from_words(G, "a2")
+        reps = left_coset_reps(H, K)
+        assert left_coset_reps(H, K) is reps
+        # Same members, another ambient group: the memo keyed by members
+        # must not answer for it.
+        foreign = Subgroup(build_dihedral(4), K.members)
+        with pytest.raises(InvalidParameterError, match="different ambient groups"):
+            left_coset_reps(H, foreign)
+        with pytest.raises(InvalidParameterError, match="K contained in H"):
+            left_coset_reps(H, subgroup_from_words(G, "b"))
+        assert list(H._coset_reps) == [K.members]
+
+    @pytest.mark.parametrize("name", ["dihedral:6", "p4m_quotient:1"])
+    def test_kept_coset_reps_match_a_fresh_computation(self, name):
+        G = group_from_descriptor(parse_group_arg(name))
+        lattice = all_subgroups(G)
+        table = G.table
+        for H in lattice:
+            for K in lattice:
+                if not K.is_subset_of(H):
+                    continue
+                kept = left_coset_reps(H, K)
+                assert left_coset_reps(H, K) is kept
+                assert kept == left_coset_reps(Subgroup(G, H.members), K)
+                smallest = {min(table[h][k] for k in K.members) for h in H.members}
+                assert kept == sorted(smallest)
+
     def test_right_coset_reps_outside(self, d6, hexH):
         Jb = subgroup_from_words(d6, "b")
         assert [d6.labels[r] for r in right_coset_reps_outside(Jb, d6, hexH)] == [

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -638,19 +639,49 @@ def test_oracles_match_reference_on_census(name):
         assert_oracles_match_reference(G, entry.spec.partition)
 
 
-def test_oracles_match_reference_on_random_partitions():
+def random_partitions():
+    """Sixty random partitions into one to six blocks of each of D_6, D_10
+    and ``p4m_quotient:1``, as (group, partitions) pairs."""
     rng = random.Random(13)
     for G in (build_dihedral(6), build_dihedral(10), build_p4m_quotient(1)):
-        H = subgroups_of_index(G, 2)[0]
-        invariant = 0
+        partitions = []
         for _ in range(60):
             k = rng.randint(1, 6)
             labels = [rng.randrange(k) for _ in G.elements]
             blocks = [[g for g in G.elements if labels[g] == b] for b in set(labels)]
-            P = GroupPartition.from_blocks(G, blocks)
+            partitions.append(GroupPartition.from_blocks(G, blocks))
+        yield G, partitions
+
+
+def test_oracles_match_reference_on_random_partitions():
+    for G, partitions in random_partitions():
+        H = subgroups_of_index(G, 2)[0]
+        invariant = 0
+        for P in partitions:
             invariant += all(P.is_stabilized_by(h) for h in H.members)
             assert_oracles_match_reference(G, P)
         assert invariant < 60  # mostly not H-invariant
+
+
+def test_orbit_table_walks_blocks_once_per_element(monkeypatch):
+    # One block-image walk per g, against P itself: the stabilizer's cosets
+    # give every other translate and block map without a walk.
+    calls = []
+    plain = GroupPartition._block_image
+
+    def counting(self, images, onto=None):
+        calls.append(onto)
+        return plain(self, images, onto)
+
+    monkeypatch.setattr(GroupPartition, "_block_image", counting)
+    orbit_sizes = Counter()
+    for G, partitions in random_partitions():
+        for P in partitions:
+            calls.clear()
+            table = orbit_table(P, G)
+            assert calls == [None] * G.order
+            orbit_sizes[len(table.translates)] += 1
+    assert max(orbit_sizes) > 2 and len(orbit_sizes) > 2
 
 
 def test_oracles_match_reference_on_unequal_blocks():

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,15 @@ import semicolor.census
 import semicolor.verify
 from semicolor.census import Census, enumerate_all_semiperfect
 from semicolor.errors import ResourceLimitError
-from semicolor.groups import Subgroup, build_dihedral, build_p4m_quotient, subgroups_of_index
+from semicolor.groups import (
+    Subgroup,
+    build_dihedral,
+    build_p4m_quotient,
+    group_from_descriptor,
+    parse_group_arg,
+    subgroups_of_index,
+)
+from semicolor.partitions import type1_partition, type2_partition
 from semicolor.verify import Suite, run_verification
 
 
@@ -117,6 +126,34 @@ def test_one_orbit_oracle_builds_one_partition_per_right_coset(monkeypatch):
     assert suite.checks == sum(len(H.complement()) for H, _ in pairs)
     assert set(built.values()) == {1}
     assert len(built) == sum(len(H.complement()) // J.order for H, J in pairs)
+
+
+@pytest.mark.parametrize("name", ["dihedral:6", "dihedral:8", "p4m_quotient:1", "p4m_quotient:2"])
+def test_sweep_keeps_one_partition_per_recipe(name):
+    # A type-1 partition is kept per (J, J*r), a type-2 one per ordered
+    # (J1, J2); each is the one the constructors build, and a census
+    # entry's is that of its own spec.
+    G = group_from_descriptor(parse_group_arg(name))
+    table = G.table
+    kinds = Counter()
+    for H in subgroups_of_index(G, 2):
+        sweep = semicolor.verify._Sweep(G, H, None)
+        pool = sweep.tables.pool
+        for J in pool:
+            by_coset = {}
+            for r in H.complement():
+                P = sweep.type1_partition(J, r)
+                assert P.blocks == type1_partition(H, J, r).blocks
+                assert by_coset.setdefault(frozenset(table[j][r] for j in J.members), P) is P
+            assert len({id(P) for P in by_coset.values()}) == len(by_coset)
+        for J1, J2 in product(pool, repeat=2):
+            P = sweep.type2_partition(J1, J2)
+            assert P.blocks == type2_partition(H, J1, J2).blocks
+            assert sweep.type2_partition(J1, J2) is P
+        for entry in sweep.type2 + sweep.type1:
+            assert sweep.partition_of(entry).blocks == entry.spec.partition.blocks
+            kinds[entry.kind] += 1
+    assert kinds["type1"] and kinds["type2"]
 
 
 def test_diagram_soundness_computes_one_diagram_per_conjugate(monkeypatch):
