@@ -34,7 +34,8 @@ all call them by these names.  The blocks h*base are then one sort per
 representative (``_translates``).  A type-2 key is
 ``sorted(inside[lo] + outside[hi])``, with ``inside[J]`` the left cosets of
 J and ``outside[J]`` the H-translates of y0*J, both built once per J.
-The ``equivalenceKey`` text of a key joins one stored string per block.
+The ``equivalenceKey`` text of a key joins one string per block, each
+built on its first lookup in a ``_Memo``.
 ``table1`` numbers its cells by the same type-1 identity block
 (``_type1_base``), so it neither builds nor translates a partition.
 ``type1_partition`` and ``type2_partition`` are left to
@@ -54,13 +55,13 @@ Each pipeline reads these counts and core masks once per pool subgroup
 (type 2) or once per (J, l) (type 1, which also conjugates J by l once
 there) and hands them, with the entry's recipe (J, l, r) or (J1, J2, y0),
 to ``ColorGroupTables.entry``, the one entry constructor, so no entry
-recomputes an index, a core or a conjugate.  A ``CensusEntry`` is one
-slotted record of the recipe, the classification and the key; it builds
-its ``ColoringSpec`` only when ``spec`` is read, and no spec re-checks an
-l inside H or a y0 outside it.  Entries with equal counts and kernel share
-one frozen ``Classification``.  ``type1_cells`` reads each verdict from
-``classify_type1``'s unchecked core, once per (J, r): conjugation by l is
-an automorphism, so every l shares it.
+recomputes an index, a core or a conjugate.  A ``CensusEntry`` is the
+``ColoringSpec`` of its recipe with the classification and the key added,
+all in slots; it re-checks no l inside H or y0 outside it, and builds its
+partition only when ``partition`` is read.  Entries with equal counts and
+kernel share one frozen ``Classification``.  ``type1_cells`` reads each
+verdict from ``classify_type1``'s unchecked core, once per (J, r):
+conjugation by l is an automorphism, so every l shares it.
 
 This module defines no brute-force oracle.  ``color_action``,
 ``orbit_table`` and ``partition_stabilizer`` in ``partitions``, which
@@ -75,18 +76,19 @@ automorphism, and builds no partition and computes no verdict.
 encoder is pure Python, without calling it on the entries; it joins
 ``Census.chunks``, one piece per entry, which ``enumerate --out`` writes to
 the file as they come, so the document is never held whole.  It, the CSV
-writer and ``CensusEntry.to_json`` read the recipe fields of each entry and
-build no spec; ``_recipe_json`` is the one writer of a recipe's JSON dict,
-for ``ColoringSpec.to_json`` and ``CensusEntry.to_json`` alike.  Each entry is
-a fixed frame, keys in sorted order, written by one f-string function,
+writer and ``Census.to_json`` read the recipe fields of each entry and
+build no spec; ``ColoringSpec.to_json`` is the one writer of a recipe's
+JSON dict, and ``CensusEntry.to_json`` wraps it.  Each entry is a fixed
+frame, keys in sorted order, written by one f-string function,
 ``_entry_text``, so no template is parsed per entry.  It joins text
 encoded once per census: every element label, the group descriptor, the
 ``kind`` and ``verdict`` strings, and the label list of each distinct
-subgroup.  Only the ``equivalenceKey`` is encoded per entry, by
-``encode_basestring_ascii``, the function ``json.dumps`` calls on a
-string, and the counts, which are ints.  A value whose key sits d levels deep is the
-``json.dumps`` text with every line break followed by d more indents; JSON
-text holds no raw newline elsewhere, so escaping stays ``json``'s own.
+subgroup, kept in a ``_Memo`` as the CSV writer keeps its texts.  Only the
+``equivalenceKey`` is encoded per entry, by ``encode_basestring_ascii``,
+the function ``json.dumps`` calls on a string, and the counts, which are
+ints.  A value whose key sits d levels deep is the ``json.dumps`` text
+with every line break followed by d more indents; JSON text holds no raw
+newline elsewhere, so escaping stays ``json``'s own.
 ``Census.to_json`` is the plain structure whose ``json.dumps`` text
 ``verify`` and the tests hold the writer against.
 """
@@ -135,39 +137,50 @@ from .partitions import (
 # -- coloring specifications ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ColoringSpec:
-    """Constructive recipe for a coloring plus its realized partition."""
+    """Constructive recipe for a coloring: the color group H, the kind, and
+    J, l and r (type 1) or J1, J2 and y (type 2); the fields of the other
+    kind are None.  Its partition is built on first read."""
 
-    group: FiniteGroup
-    H: Subgroup
-    kind: str  # "type1" | "type2"
-    J: Subgroup | None = None
-    l: int | None = None
-    r: int | None = None
-    J1: Subgroup | None = None
-    J2: Subgroup | None = None
-    y: int | None = None
+    __slots__ = ("H", "kind", "J", "l", "r", "J1", "J2", "y", "_partition")
+
+    def __init__(
+        self, H: Subgroup, kind: str, J: Subgroup | None = None, l: int | None = None,
+        r: int | None = None, J1: Subgroup | None = None, J2: Subgroup | None = None,
+        y: int | None = None,
+    ):
+        self.H, self.kind = H, kind  # "type1" | "type2"
+        self.J, self.l, self.r = J, l, r
+        self.J1, self.J2, self.y = J1, J2, y
+        self._partition = None
 
     @classmethod
     def type1(cls, H: Subgroup, J: Subgroup, r: int, l: int | None = None) -> "ColoringSpec":
         l = H.group.identity if l is None else l
         if l not in H:
             raise InvalidParameterError("the conjugating element l must lie in H")
-        return cls(group=H.group, H=H, kind="type1", J=J, l=l, r=r)
+        return cls(H, "type1", J=J, l=l, r=r)
 
     @classmethod
     def type2(cls, H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> "ColoringSpec":
         y = smallest_outside(H) if y is None else y
         if y in H:
             raise InvalidParameterError("y must lie outside H")
-        return cls(group=H.group, H=H, kind="type2", J1=J1, J2=J2, y=y)
+        return cls(H, "type2", J1=J1, J2=J2, y=y)
 
-    @cached_property
+    @property
+    def group(self) -> FiniteGroup:
+        return self.H.group
+
+    @property
     def partition(self) -> GroupPartition:
-        if self.kind == "type1":
-            return type1_partition(self.H, self.J.conjugated_by(self.l), self.r)
-        return type2_partition(self.H, self.J1, self.J2)
+        """The realized partition, built on first read and kept."""
+        if self._partition is None:
+            if self.kind == "type1":
+                self._partition = type1_partition(self.H, self.J.conjugated_by(self.l), self.r)
+            else:
+                self._partition = type2_partition(self.H, self.J1, self.J2)
+        return self._partition
 
     def verdict(self) -> str:
         if self.kind == "type1":
@@ -175,7 +188,15 @@ class ColoringSpec:
         return classify_type2(self.J1, self.J2, self.H)
 
     def to_json(self) -> dict:
-        return _recipe_json(self)
+        """The spec JSON: the group of H, H and kind, then J, l and r (type 1)
+        or J1, J2 and y (type 2)."""
+        group = self.group
+        labels = group.labels
+        if self.kind == "type1":
+            recipe = {"J": self.J.label_list(), "l": labels[self.l], "r": labels[self.r]}
+        else:
+            recipe = {"J1": self.J1.label_list(), "J2": self.J2.label_list(), "y": labels[self.y]}
+        return {"group": group.descriptor, "H": self.H.label_list(), "kind": self.kind, **recipe}
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ColoringSpec":
@@ -211,39 +232,16 @@ def subgroup_of_labels(group: FiniteGroup, labels: list[str]) -> Subgroup:
     return Subgroup.from_members(group, (group.element(w) for w in labels))
 
 
-def _recipe_json(recipe: ColoringSpec | CensusEntry) -> dict:
-    """The spec JSON of a recipe: the group of its H, H and kind, then J, l
-    and r (type 1) or J1, J2 and y (type 2)."""
-    group = recipe.H.group
-    out: dict = {
-        "group": group.descriptor,
-        "H": recipe.H.label_list(),
-        "kind": recipe.kind,
-    }
-    if recipe.kind == "type1":
-        out["J"] = recipe.J.label_list()
-        out["l"] = group.labels[recipe.l]
-        out["r"] = group.labels[recipe.r]
-    else:
-        out["J1"] = recipe.J1.label_list()
-        out["J2"] = recipe.J2.label_list()
-        out["y"] = group.labels[recipe.y]
-    return out
-
-
-class CensusEntry:
-    """One census entry: the recipe of its coloring, (J, l, r) for type 1
-    or (J1, J2, y) for type 2 inside the color group H, with its
+class CensusEntry(ColoringSpec):
+    """One census entry: the ``ColoringSpec`` of its coloring, (J, l, r) for
+    type 1 or (J1, J2, y) for type 2 inside the color group H, with its
     classification and orbit key.
 
-    The fields of the other kind are None.  The ``ColoringSpec`` of the
-    recipe is built on first read of ``spec``; the census writers read the
-    recipe fields and never build it.
+    The pipelines hold l inside H and y outside it, so no entry re-checks
+    them; its partition is built, as any spec's, only when first read.
     """
 
-    __slots__ = (
-        "H", "kind", "J", "l", "r", "J1", "J2", "y", "classification", "key", "block_text", "_spec"
-    )
+    __slots__ = ("classification", "key", "block_text")
 
     def __init__(
         self,
@@ -254,6 +252,8 @@ class CensusEntry:
         key: tuple[tuple[int, ...], ...],
         block_text: Mapping[tuple[int, ...], str],
     ):
+        # Every field is set here, not through ColoringSpec.__init__: the
+        # census makes one entry per coloring, and the extra call shows.
         self.H, self.kind = H, kind
         if kind == "type1":
             self.J, self.l, self.r = recipe
@@ -261,18 +261,13 @@ class CensusEntry:
         else:
             self.J = self.l = self.r = None
             self.J1, self.J2, self.y = recipe
+        self._partition = None
         self.classification, self.key, self.block_text = classification, key, block_text
-        self._spec = None
 
     @property
     def spec(self) -> ColoringSpec:
-        """The ``ColoringSpec`` of the recipe, built on first read."""
-        if self._spec is None:
-            # The pipelines hold l inside H and y outside it: no checks.
-            self._spec = ColoringSpec(
-                self.H.group, self.H, self.kind, self.J, self.l, self.r, self.J1, self.J2, self.y
-            )
-        return self._spec
+        """The entry itself, the ``ColoringSpec`` of its recipe."""
+        return self
 
     def key_string(self) -> str:
         """``GroupPartition.key_string`` of the key, joined from block texts
@@ -280,31 +275,31 @@ class CensusEntry:
         return "|".join(map(self.block_text.__getitem__, self.key))
 
     def to_json(self) -> dict:
-        out = {"spec": _recipe_json(self)}
-        out.update(self.classification.to_json())
-        out["equivalenceKey"] = self.key_string()
-        return out
+        spec = super().to_json()
+        return {"spec": spec, **self.classification.to_json(), "equivalenceKey": self.key_string()}
 
 
-class _BlockText(dict):
-    """The text ``a,b,...`` of each block, built on first use."""
+class _Memo(dict):
+    """A dict that builds the value of a missing key as ``build(key)`` and
+    keeps it."""
 
-    def __init__(self, labels: Sequence[str]):
+    def __init__(self, build):
         super().__init__()
-        self.labels = labels
+        self.build = build
 
-    def __missing__(self, block: tuple[int, ...]) -> str:
-        text = self[block] = ",".join(map(self.labels.__getitem__, block))
-        return text
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 class ColorGroupTables:
     """What every pipeline of one index-2 color group H reads, built once:
     its subgroup pool under the color cap, the left coset representatives
-    of each J in it, from which every block is built, the ``Subgroup.mask``
-    of each core_H(J), the pool's conjugacy classes under G, N_H(J) and
-    N_G(J) of each class representative J, and the text of each block.  It
-    is the only argument of each pipeline.
+    of each J in it, which ``left_coset_reps`` keeps on H and from which
+    every block is built, the ``Subgroup.mask`` of each core_H(J), the
+    pool's conjugacy classes under G, N_H(J) and N_G(J) of each class
+    representative J, and the text of each block.  It is the only argument
+    of each pipeline.
 
     core_H(J) is the intersection of the conjugates t*J*t^-1 for t in H.  A
     conjugate depends only on the left coset t*J, so one t per coset
@@ -318,17 +313,15 @@ class ColorGroupTables:
         self.H = H
         self.max_colors = max_colors
         self.pool = subgroups_of_index_at_most(H, H.order if max_colors is None else max_colors)
-        self.reps: dict[tuple[int, ...], list[int]] = {}
         self.cores: dict[tuple[int, ...], int] = {}
         table, inverse = G.table, G.inverse
         for J in self.pool:
-            reps = self.reps[J.members] = left_coset_reps(H, J)
             mask = J.mask
-            for t in reps:
+            for t in left_coset_reps(H, J):
                 row, ti = table[t], inverse[t]
                 mask &= sum(1 << table[row[j]][ti] for j in J.members)  # injective: distinct bits
             self.cores[J.members] = mask
-        self.text = _BlockText(G.labels)
+        self.text = _Memo(lambda block: ",".join(map(G.labels.__getitem__, block)))
         self.classifications: dict[tuple[int, int, int], Classification] = {}
 
     @cached_property
@@ -397,7 +390,8 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
     All entries are semiperfect and pairwise inequivalent; the only other
     partition equivalent to the (J1, J2) entry is its (J2, J1) swap.
     """
-    H, cap, reps, cores = tables.H, tables.max_colors, tables.reps, tables.cores
+    H, cap, cores = tables.H, tables.max_colors, tables.cores
+    reps = H._coset_reps  # left_coset_reps of each pool subgroup, kept on H
     group = H.group
     # Two colors at least, so a subgroup of index cap belongs to no pair.
     pool = sorted(
@@ -441,7 +435,7 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
     """
     H = tables.H
     group = H.group
-    in_H = H.member_set
+    in_H, reps = H.member_set, H._coset_reps
     # One entry per identity block of a key (see the module docstring).
     entries: dict[tuple[int, ...], CensusEntry] = {}
     cell_J, cell_l = None, None
@@ -457,7 +451,7 @@ def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
         if base in entries:
             continue
         stabilizer = tuple(e for e in base if e in in_H)
-        key = tuple(sorted(_translates(group, tables.reps[stabilizer], base)))
+        key = tuple(sorted(_translates(group, reps[stabilizer], base)))
         entries[base] = tables.entry("type1", (J, l, r), key, colors, 1, kernel)
     part = sorted(entries.values(), key=lambda e: e.key)
     _assert_distinct_keys(part)
@@ -553,23 +547,17 @@ class Census:
         labels = [json.dumps(label) for label in self.group.labels]
         names = {name: json.dumps(name) for name in ("type1", "type2", PERFECT, SEMIPERFECT)}
         group = _indented(self.group.descriptor, 4)
-        lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
-
-        def members(S: Subgroup) -> str:
-            text = lists.get(S.members)
-            if text is None:
-                text = lists[S.members] = _indented(S.label_list(), 4)
-            return text
-
+        # One label list per subgroup, keyed by its members.
+        members = _Memo(lambda m: _indented([self.group.labels[g] for g in m], 4))
         yield f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n  "entries": '
         opening = "[\n"
         for e in self.entries:
             c = e.classification
             if e.kind == "type1":
-                head = f'"J": {members(e.J)}'
+                head = f'"J": {members[e.J.members]}'
                 tail = f'"l": {labels[e.l]},\n        "r": {labels[e.r]}'
             else:
-                head = f'"J1": {members(e.J1)},\n        "J2": {members(e.J2)}'
+                head = f'"J1": {members[e.J1.members]},\n        "J2": {members[e.J2.members]}'
                 tail = f'"y": {labels[e.y]}'
             yield _entry_text(
                 opening,
@@ -578,7 +566,7 @@ class Census:
                 c.kernel_order,
                 c.num_color_orbits,
                 c.num_colors,
-                members(e.H),
+                members[e.H.members],
                 head,
                 group,
                 names[e.kind],

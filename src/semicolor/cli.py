@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .census import (
     ColoringSpec,
     GroupAutomorphism,
+    _Memo,
     conjugate_spec,
     enumerate_all_semiperfect,
     find_conjugating_automorphism,
@@ -219,27 +220,18 @@ def cmd_enumerate(args) -> int:
 def _census_csv(census) -> Iterator[str]:
     """The census CSV, one line at a time: the header, then one row per entry."""
     yield "H,kind,detail,numColors,numColorOrbits,kernelOrder,colorPermGroupOrder,equivalenceKey\n"
-    h_words: dict[tuple[int, ...], str] = {}  # one display word per color group
-    lists: dict[tuple[int, ...], str] = {}  # one label list per subgroup
-
-    def members(S) -> str:
-        text = lists.get(S.members)
-        if text is None:
-            text = lists[S.members] = " ".join(S.label_list())
-        return text
-
     labs = census.group.labels
+    h_words = _Memo(generating_words)  # one display word per color group
+    members = _Memo(lambda m: " ".join(map(labs.__getitem__, m)))  # one per subgroup
     for e in census.entries:
-        if e.H.members not in h_words:
-            h_words[e.H.members] = generating_words(e.H)
         if e.kind == "type1":
-            detail = f"J=<{members(e.J)}> l={labs[e.l]} r={labs[e.r]}"
+            detail = f"J=<{members[e.J.members]}> l={labs[e.l]} r={labs[e.r]}"
         else:
-            detail = f"J1=<{members(e.J1)}> J2=<{members(e.J2)}> y={labs[e.y]}"
+            detail = f"J1=<{members[e.J1.members]}> J2=<{members[e.J2.members]}> y={labs[e.y]}"
         c = e.classification
         yield ",".join(
             [
-                h_words[e.H.members],
+                h_words[e.H],
                 e.kind,
                 detail,
                 str(c.num_colors),

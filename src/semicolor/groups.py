@@ -413,12 +413,9 @@ def group_from_descriptor(desc: dict) -> FiniteGroup:
     if kind not in ("dihedral", "p4m_quotient"):
         raise InvalidParameterError(f"unknown group descriptor {desc!r}")
     param = "n" if kind == "dihedral" else "N"
-    try:
-        value = int(desc[param])
-    except (KeyError, TypeError, ValueError):
-        raise InvalidParameterError(
-            f"group descriptor {desc!r} needs an integer {param!r}"
-        ) from None
+    value = desc.get(param)
+    if isinstance(value, bool) or not isinstance(value, int):  # truncate no float or string
+        raise InvalidParameterError(f"group descriptor {desc!r} needs an integer {param!r}")
     return build_dihedral(value) if kind == "dihedral" else build_p4m_quotient(value)
 
 

@@ -7,9 +7,9 @@ any disagreement.  They back the ``verify`` CLI command.
 The sweep is built once per color group H: one ``ColorGroupTables`` (its
 pool is the lattice of H up to order 16, else the subgroups of index <= 4),
 and the census's own ``enumerate_type2`` and ``enumerate_type1`` on them.
-``coset-bookkeeping`` checks the tables' coset representatives, from which
-every block is built; ``class-equation`` reads their conjugacy classes and
-the G-normalizer of each class representative;
+``coset-bookkeeping`` checks the left coset representatives that the tables
+kept on H, from which every block is built; ``class-equation`` reads the
+tables' conjugacy classes and the G-normalizer of each class representative;
 ``involution-bridge``, ``one-orbit-oracle`` and ``two-orbit-oracle`` read
 the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
 ``census-counts`` reads the classes, their normalizers and the entries;
@@ -21,7 +21,7 @@ first use: a type-1 partition once per (J, J*r), since it depends only on
 the right coset J*r, and a type-2 one once per ordered (J1, J2).
 ``one-orbit-oracle``, ``two-orbit-oracle``, ``orbit-size-two`` (through
 J^l and r for a type-1 entry) and ``grid-pairing`` read their partitions
-from it; ``conjugate-transport`` reads each entry's own spec.  The left
+from it; ``conjugate-transport`` reads each entry's own partition.  The left
 coset representatives every partition is built from are kept on H by
 ``left_coset_reps``.  ``diagram-soundness`` builds one diagram per
 distinct conjugate of J.  Once ``conjugate-transport`` has run, the sweeps
@@ -173,7 +173,7 @@ class _Sweep:
 
     def partition_of(self, entry: CensusEntry) -> GroupPartition:
         """The partition of a census entry's recipe: that of
-        ``entry.spec.partition``, read through J^l and r for type 1."""
+        ``entry.partition``, read through J^l and r for type 1."""
         if entry.kind == "type1":
             return self.type1_partition(entry.J.conjugated_by(entry.l), entry.r)
         return self.type2_partition(entry.J1, entry.J2)
@@ -246,7 +246,7 @@ def _suite_cosets(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         for K in sweep.tables.pool:
             regen = subgroup_generated(G, K.members)
             suite.check(regen.members == K.members, lambda: f"closure not idempotent for {K}")
-            reps = sweep.tables.reps[K.members]
+            reps = H._coset_reps[K.members]  # left_coset_reps(H, K), kept on H by the tables
             suite.check(
                 len(reps) * K.order == H.order,
                 lambda: f"coset count mismatch for {K} in {H}",
@@ -411,15 +411,13 @@ def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         if alpha is None:
             continue
         for entry in sweep.type2[:6] + sweep.type1[:6]:
-            moved = conjugate_spec(entry.spec, alpha)
+            moved = conjugate_spec(entry, alpha)
             suite.check(
-                moved.verdict() == entry.spec.verdict(),
+                moved.verdict() == entry.verdict(),
                 lambda: f"transport changed verdict for {entry.key_string()}",
             )
             suite.check(
-                action_equivalence_check(
-                    entry.spec.H, entry.spec.partition, moved.H, moved.partition, alpha
-                ),
+                action_equivalence_check(entry.H, entry.partition, moved.H, moved.partition, alpha),
                 lambda: f"transported action differs for {entry.key_string()}",
             )
     suite.check(True, "transport sweep completed")

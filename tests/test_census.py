@@ -429,30 +429,39 @@ def test_type1_cells_make_one_verdict_per_coset(monkeypatch, descriptor):
         assert cells >= sum(want.values())
 
 
+RECIPE = ("H", "kind", "J", "l", "r", "J1", "J2", "y")
+
+
 @pytest.mark.parametrize("descriptor", RECORD_GROUPS)
 def test_census_entries_are_recipe_records(monkeypatch, descriptor):
     G = group_from_descriptor(parse_group_arg(descriptor))
     result = enumerate_all_semiperfect(G)
     assert result.entries
-    # The writers read the recipe fields: no entry builds its spec.
+    # The writers read the recipe fields: they build no spec and no partition.
     with monkeypatch.context() as m:
         built = []
-        m.setattr(census, "ColoringSpec", lambda *args: built.append(args))
+        m.setattr(ColoringSpec, "__init__", lambda self, *args, **kw: built.append(args))
+        m.setattr(census, "type1_partition", lambda *args: built.append(args))
+        m.setattr(census, "type2_partition", lambda *args: built.append(args))
         "".join(result.chunks())
         "".join(_census_csv(result))
         result.to_json()
         assert built == []
     for entry in result.entries:
-        assert not hasattr(entry, "__dict__")
+        assert isinstance(entry, ColoringSpec) and not hasattr(entry, "__dict__")
+        assert entry.spec is entry
         if entry.kind == "type1":
             assert (entry.J1, entry.J2, entry.y) == (None, None, None)
             want = ColoringSpec.type1(entry.H, entry.J, entry.r, entry.l)
         else:
             assert (entry.J, entry.l, entry.r) == (None, None, None)
             want = ColoringSpec.type2(entry.H, entry.J1, entry.J2, entry.y)
-        assert entry.spec == want
-        assert entry.spec is entry.spec  # built once
-        assert entry.to_json()["spec"] == entry.spec.to_json()
+        assert entry.partition.blocks == want.partition.blocks
+        assert entry.verdict() == want.verdict()
+        spec_json = entry.to_json()["spec"]
+        assert spec_json == want.to_json()
+        back = ColoringSpec.from_json(G, spec_json)
+        assert [getattr(back, f) for f in RECIPE] == [getattr(entry, f) for f in RECIPE]
 
 
 @pytest.mark.parametrize("pipeline, kind", [(enumerate_type1, "type1"), (enumerate_type2, "type2")])

@@ -407,6 +407,42 @@ class TestRenderCommand:
         [["render", "--out"], ["conjugate", "--map", "a=a", "--out"]],
         ids=["render", "conjugate"],
     )
+    @pytest.mark.parametrize(
+        "kind, param, value",
+        [("dihedral", "n", 6.9), ("p4m_quotient", "N", 2.7), ("dihedral", "n", True),
+         ("dihedral", "n", "6")],
+        ids=["float", "float-N", "bool", "string"],
+    )
+    def test_group_parameter_that_is_not_an_int_exits_two(
+        self, tmp_path, capsys, d6, hexH, command, kind, param, value
+    ):
+        # Each spec is valid once its parameter is truncated to an int: the
+        # parameter is refused, not read as dihedral:6, p4m_quotient:2 or
+        # dihedral:1.
+        if kind == "dihedral":
+            spec = ColoringSpec.type2(hexH, subgroup_from_words(d6, "a2b"), hexH, d6.element("a3"))
+        else:
+            g = build_p4m_quotient(2)
+            H = subgroup_from_words(g, "b,a2b,x,y")
+            spec = ColoringSpec.type2(H, subgroup_from_words(g, "b"), subgroup_from_words(g, "a2,x"))
+        data = spec.to_json()
+        data["group"] = {**data["group"], param: value}  # the group's own dict stays as it is
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = [command[0], str(path), *command[1:], str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: group descriptor {data['group']!r} needs an integer {param!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["render", "--out"], ["conjugate", "--map", "a=a", "--out"]],
+        ids=["render", "conjugate"],
+    )
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["directory", "not-utf8"])
     def test_spec_that_cannot_be_read_exits_two(self, tmp_path, capsys, command, content):
         # A directory or a file that is not UTF-8 gives one error line, as a
