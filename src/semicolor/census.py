@@ -188,15 +188,17 @@ class ColoringSpec:
         return classify_type2(self.J1, self.J2, self.H)
 
     def to_json(self) -> dict:
-        """The spec JSON: the group of H, H and kind, then J, l and r (type 1)
-        or J1, J2 and y (type 2)."""
+        """The spec JSON: the group of H (a copy of its descriptor), H and
+        kind, then J, l and r (type 1) or J1, J2 and y (type 2)."""
         group = self.group
         labels = group.labels
         if self.kind == "type1":
             recipe = {"J": self.J.label_list(), "l": labels[self.l], "r": labels[self.r]}
         else:
             recipe = {"J1": self.J1.label_list(), "J2": self.J2.label_list(), "y": labels[self.y]}
-        return {"group": group.descriptor, "H": self.H.label_list(), "kind": self.kind, **recipe}
+        return {
+            "group": dict(group.descriptor), "H": self.H.label_list(), "kind": self.kind, **recipe
+        }
 
     @classmethod
     def from_json(cls, group: FiniteGroup, data: dict) -> "ColoringSpec":
@@ -525,7 +527,7 @@ class Census:
     def to_json(self) -> dict:
         """The census as one JSON value: the oracle of ``serialize``."""
         return {
-            "group": self.group.descriptor,
+            "group": dict(self.group.descriptor),
             "total": self.total,
             "byPart": self._by_part_json(),
             "entries": [e.to_json() for e in self.entries],

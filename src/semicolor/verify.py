@@ -14,40 +14,49 @@ tables' conjugacy classes and the G-normalizer of each class representative;
 the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
 ``census-counts`` reads the classes, their normalizers and the entries;
 ``grid-pairing`` walks their ``type1_cells`` and reads the normalizers.
-Only ``census-determinism`` runs two whole enumerations of its own.
 Oracles run once per distinct input and are checked for every input that
 shares it.  The sweep keeps each partition a suite asks for, built on
 first use: a type-1 partition once per (J, J*r), since it depends only on
 the right coset J*r, and a type-2 one once per ordered (J1, J2).
 ``one-orbit-oracle``, ``two-orbit-oracle``, ``orbit-size-two`` (through
 J^l and r for a type-1 entry) and ``grid-pairing`` read their partitions
-from it; ``conjugate-transport`` reads each entry's own partition.  The left
-coset representatives every partition is built from are kept on H by
-``left_coset_reps``.  ``diagram-soundness`` builds one diagram per
-distinct conjugate of J.  Once ``conjugate-transport`` has run, the sweeps
-are dropped, so their partitions are freed before ``diagram-soundness``
-and the enumerations of ``census-determinism``, which read none of them.
+from it; ``two-orbit-oracle`` builds each pair in ``enumerate_type2``'s
+orientation, smaller (order, members) first, so ``orbit-size-two`` finds
+every entry's partition built.  ``conjugate-transport`` reads each entry's
+own partition.  The left coset representatives every partition is built
+from are kept on H by ``left_coset_reps``.  ``diagram-soundness`` builds
+one diagram per distinct conjugate of J.  An uncapped sweep (G of order
+<= 32) has enumerated the whole census of its color groups, so once
+``conjugate-transport`` has run its type-1 and type-2 parts become the
+first census of ``census-determinism``, and the sweeps are dropped: their
+partitions are freed before ``diagram-soundness`` and the fresh
+enumeration.  Capped sweeps leave ``census-determinism`` two fresh
+enumerations of its own.
 
 Each brute-force question tests every g in G once and stops when the
 answer is known.  ``orbit-size-two`` builds one ``orbit_table`` per entry,
 which walks the blocks once per g to find the stabilizer, names the
 translate gP and keeps the block map of every g, and reads the orbit, the
 stabilizer of each translate and, through ``color_action``, the color
-action of H from it.  The perfect verdicts of
-``one-orbit-oracle`` and ``two-orbit-oracle`` come from
-``stabilized_by_whole_group``, which stops at the first g that splits a
-block.  ``conjugate-transport`` holds each entry that ``conjugate_spec``
-maps against ``action_equivalence_check``, the one oracle defined in this
+action of H from it.  The perfect verdicts of ``one-orbit-oracle`` and
+``two-orbit-oracle`` come from ``stabilized_by_whole_group``, which stops
+at the first g that splits a block.  The verdict depends on the partition
+alone, so the sweeps of one run keep it by ``P.blocks``: each distinct
+partition, in whichever color group or recipe it arises, is walked once.
+``conjugate-transport`` holds each entry that ``conjugate_spec`` maps
+against ``action_equivalence_check``, the one oracle defined in this
 module, which reads its witness from the element-map test.
 
 ``census-determinism`` checks that the census writer ``Census.chunks``
 gives the same text on two enumerations, and the text that ``json.dumps(
-Census.to_json(), indent=2, sort_keys=True)`` gives.  Each text goes into
-one sha256 digest a piece at a time.  The oracle's head and tail are
-``json.dumps`` of the census with an empty entry list, and each entry is
-``json.dumps`` of its own ``to_json``, re-indented.  The check is
-byte-exact over every entry, and no census text or census dict is held
-whole.
+Census.to_json(), indent=2, sort_keys=True)`` gives.  The first census is
+released before the second is built, so the peak holds one of them.  Each
+text goes into one sha256 digest a piece at a time.  The oracle's head and
+tail are ``json.dumps`` of the census with an empty entry list, and each
+entry is ``json.dumps`` of its own ``to_json``, re-indented; ``to_json``
+builds a fresh tree that holds no cycle, so the encoder skips its cycle
+check.  The check is byte-exact over every entry, and no census text or
+census dict is held whole.
 """
 
 from __future__ import annotations
@@ -79,6 +88,7 @@ from .groups import (
     Subgroup,
     all_subgroups,
     check_search_order,
+    generating_words,
     perfect_coset_count,
     subgroup_generated,
     subgroups_of_index,
@@ -142,16 +152,25 @@ class VerificationReport:
 
 class _Sweep:
     """What the suites read of one color group H, built once: its tables,
-    the entries of both census pipelines, all under one cap, and each
-    partition a suite asks for, built on first use."""
+    the entries of both census pipelines, all under one cap, each
+    partition a suite asks for, built on first use, and the perfect
+    verdict of each distinct partition, kept in ``verdicts``, which the
+    sweeps of one run share: the verdict does not depend on H."""
 
-    def __init__(self, G: FiniteGroup, H: Subgroup, cap: int | None):
+    def __init__(
+        self,
+        G: FiniteGroup,
+        H: Subgroup,
+        cap: int | None,
+        verdicts: dict[tuple[tuple[int, ...], ...], bool],
+    ):
         self.H = H
         self.tables = ColorGroupTables(G, H, cap)
         self.type2 = enumerate_type2(self.tables)
         self.type1 = enumerate_type1(self.tables)
         self.type1_partitions: dict[tuple[tuple[int, ...], int], GroupPartition] = {}
         self.type2_partitions: dict[tuple[tuple[int, ...], ...], GroupPartition] = {}
+        self.verdicts = verdicts
 
     def type1_partition(self, J: Subgroup, r: int) -> GroupPartition:
         """``type1_partition(H, J, r)``, one per right coset J*r, which is
@@ -178,6 +197,30 @@ class _Sweep:
             return self.type1_partition(entry.J.conjugated_by(entry.l), entry.r)
         return self.type2_partition(entry.J1, entry.J2)
 
+    def perfect(self, P: GroupPartition) -> bool:
+        """``stabilized_by_whole_group(G, P)``, one walk of G per distinct
+        partition: recipes that build the same blocks, in this color group
+        or another, share its verdict."""
+        verdict = self.verdicts.get(P.blocks)
+        if verdict is None:
+            verdict = self.verdicts[P.blocks] = stabilized_by_whole_group(self.H.group, P)
+        return verdict
+
+
+def _sweep_census(G: FiniteGroup, sweeps: list[_Sweep]) -> Census:
+    """The census ``enumerate_all_semiperfect(G, H_filter=color_groups)``
+    builds, read from the uncapped sweeps of those color groups: per color
+    group its type-1 part, then its type-2 part, under the same byPart
+    keys."""
+    entries: list[CensusEntry] = []
+    by_part: dict[tuple[str, str], int] = {}
+    for sweep in sweeps:
+        h_key = generating_words(sweep.H)
+        for kind, part in (("type1", sweep.type1), ("type2", sweep.type2)):
+            by_part[h_key, kind] = len(part)
+            entries.extend(part)
+    return Census(group=G, entries=entries, by_part=by_part)
+
 
 def _timed(suite: Suite, fn):
     start = time.perf_counter()
@@ -190,19 +233,12 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
     # Above the bound the lattice walk or conjugate-transport's search would
     # refuse G after other suites ran; refuse it before any suite runs.
     check_search_order(G.order, "automorphism-search")
-    color_groups = subgroups_of_index(G, 2)
-    if not exhaustive and G.order > 16:
-        preferred = standard_color_groups(G)
-        if G.descriptor.get("kind") == "p4m_quotient":
-            preferred = preferred + [
-                subgroup_generated(G, G.elements_from_words(["b", "a2b", "x", "y"]))
-            ]
-        keys = {H.members for H in preferred if 2 * H.order == G.order}
-        color_groups = [H for H in color_groups if H.members in keys] or color_groups[:2]
+    color_groups = _color_groups(G, exhaustive)
     # Every color group has index 2, so one order decides the sweep: the
     # full lattice of H up to order 16, else its subgroups of index <= 4.
     cap = None if G.order <= 32 else 4
-    sweeps = [_Sweep(G, H, cap) for H in color_groups]
+    verdicts: dict[tuple[tuple[int, ...], ...], bool] = {}
+    sweeps = [_Sweep(G, H, cap, verdicts) for H in color_groups]
 
     suites = [
         _timed(Suite("group-axioms"), lambda s: _suite_axioms(s, G)),
@@ -216,15 +252,36 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
         _timed(Suite("census-counts"), lambda s: _suite_counts(s, G, sweeps, cap)),
         _timed(Suite("conjugate-transport"), lambda s: _suite_transport(s, G, sweeps)),
     ]
-    # No later suite reads the sweeps: free their partitions before the
-    # diagrams and the two determinism enumerations are built.
-    del sweeps
+    # Uncapped sweeps enumerated the whole census of their color groups:
+    # census-determinism takes it as its first census.  No later suite
+    # reads the sweeps, so their partitions are freed before the diagrams
+    # and the fresh enumeration are built.
+    built = [_sweep_census(G, sweeps)] if cap is None else []
+    del sweeps, verdicts
     if G.descriptor.get("kind") == "p4m_quotient":
         suites.append(
             _timed(Suite("diagram-soundness"), lambda s: _suite_diagram(s, G, exhaustive))
         )
-    suites.append(_timed(Suite("census-determinism"), lambda s: _suite_determinism(s, G, color_groups)))
+    suites.append(
+        _timed(Suite("census-determinism"), lambda s: _suite_determinism(s, G, color_groups, built))
+    )
     return VerificationReport(G, suites)
+
+
+def _color_groups(G: FiniteGroup, exhaustive: bool) -> list[Subgroup]:
+    """The color groups ``run_verification`` sweeps: every index-2 subgroup
+    of a group of order <= 16 or under ``exhaustive``, else the standard
+    ones (and, for a p4m quotient, <b, a2b, x, y>)."""
+    color_groups = subgroups_of_index(G, 2)
+    if not exhaustive and G.order > 16:
+        preferred = standard_color_groups(G)
+        if G.descriptor.get("kind") == "p4m_quotient":
+            preferred = preferred + [
+                subgroup_generated(G, G.elements_from_words(["b", "a2b", "x", "y"]))
+            ]
+        keys = {H.members for H in preferred if 2 * H.order == G.order}
+        color_groups = [H for H in color_groups if H.members in keys] or color_groups[:2]
+    return color_groups
 
 
 def _suite_axioms(suite: Suite, G: FiniteGroup):
@@ -297,22 +354,16 @@ def _suite_bridge(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
 
 def _suite_type1(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
     # type1_partition(H, J, r) depends only on the right coset J*r, so the
-    # oracle runs once per coset, named by its smallest member; the fast
-    # classifier still runs, and is checked, for every r.
-    table = G.table
+    # sweep builds, and the oracle decides, one partition per coset; the
+    # fast classifier still runs, and is checked, for every r.
     for sweep in sweeps:
         H = sweep.H
         outside = H.complement()
         for J in sweep.tables.pool:
-            perfect_by_coset: dict[int, bool] = {}
             for r in outside:
-                coset = min(table[j][r] for j in J.members)
-                if coset not in perfect_by_coset:
-                    P = sweep.type1_partition(J, r)
-                    perfect_by_coset[coset] = stabilized_by_whole_group(G, P)
                 fast = classify_type1(J, r, H).perfect
                 suite.check(
-                    fast == perfect_by_coset[coset],
+                    fast == sweep.perfect(sweep.type1_partition(J, r)),
                     lambda: f"one-orbit verdict mismatch J={J} r={G.labels[r]} H={H}",
                 )
 
@@ -322,7 +373,11 @@ def _suite_type2(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
         H = sweep.H
         for J1, J2 in combinations_with_replacement(sweep.tables.pool, 2):
             fast = classify_type2(J1, J2, H) == PERFECT
-            oracle = stabilized_by_whole_group(G, sweep.type2_partition(J1, J2))
+            # P(J2, J1) = y*P(J1, J2) has the same verdict: decide the pair
+            # in enumerate_type2's orientation, whose partition
+            # orbit-size-two reads for the pair's census entry.
+            lo, hi = sorted((J1, J2), key=lambda J: (J.order, J.members))
+            oracle = sweep.perfect(sweep.type2_partition(lo, hi))
             suite.check(
                 fast == oracle,
                 lambda: f"two-orbit verdict mismatch J1={J1} J2={J2} H={H}",
@@ -476,10 +531,12 @@ def _suite_diagram(suite: Suite, G: FiniteGroup, exhaustive: bool):
                 )
 
 
-def _suite_determinism(suite: Suite, G: FiniteGroup, color_groups):
+def _suite_determinism(suite: Suite, G: FiniteGroup, color_groups, built: list[Census]):
     # Two enumerations serialize alike, and the writer matches the
-    # json.dumps oracle; only digests are held, never a census text.
-    census = enumerate_all_semiperfect(G, H_filter=color_groups)
+    # json.dumps oracle; only digests are held, never a census text.  The
+    # first census is the one in ``built``, when the sweeps built it, else a
+    # fresh enumeration; it is popped, so it is freed before the second.
+    census = built.pop() if built else enumerate_all_semiperfect(G, H_filter=color_groups)
     first = _digest(census.chunks())
     oracle = _digest(_oracle_chunks(census))
     del census
@@ -514,7 +571,7 @@ def _oracle_chunks(census: Census) -> Iterator[str]:
     if not census.entries:
         yield "[]"
     else:
-        encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+        encode = json.JSONEncoder(indent=2, sort_keys=True, check_circular=False).encode
         opening = "[\n    "
         for e in census.entries:
             yield opening + encode(e.to_json()).replace("\n", "\n    ")

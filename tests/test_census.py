@@ -464,6 +464,17 @@ def test_census_entries_are_recipe_records(monkeypatch, descriptor):
         assert [getattr(back, f) for f in RECIPE] == [getattr(entry, f) for f in RECIPE]
 
 
+def test_editing_a_returned_json_leaves_the_group_unchanged():
+    # Each JSON holds a copy of the group descriptor, not the group's own.
+    G = group_from_descriptor(parse_group_arg("dihedral:6"))
+    result = enumerate_all_semiperfect(G)
+    entry = next(e for e in result.entries if e.kind == "type1")
+    spec = ColoringSpec.type1(entry.H, entry.J, entry.r, entry.l)
+    for data in (entry.to_json()["spec"], spec.to_json(), result.to_json()):
+        data["group"]["n"] = 7
+    assert G.descriptor == {"kind": "dihedral", "n": 6}
+
+
 @pytest.mark.parametrize("pipeline, kind", [(enumerate_type1, "type1"), (enumerate_type2, "type2")])
 def test_a_duplicated_key_raises_in_either_pipeline(monkeypatch, d6, hexH, pipeline, kind):
     # Each pipeline checks its own part and the census adds no check of its

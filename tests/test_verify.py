@@ -68,8 +68,9 @@ def test_each_color_group_builds_its_tables_once(monkeypatch):
 def test_each_color_group_computes_its_conjugacy_classes_once(monkeypatch):
     # The classes are held by ColorGroupTables: type1_cells (walked by
     # enumerate_type1 and grid-pairing), class-equation and census-counts
-    # all read the one computed by the sweep.  census-determinism builds
-    # tables of its own for each of its two enumerations.
+    # all read the one computed by the sweep.  census-determinism takes the
+    # sweeps' census as its first and builds tables of its own only for its
+    # fresh enumeration.
     G = build_dihedral(8)
     computed = Counter()
     plain = semicolor.census.conjugacy_classes_of_subgroups
@@ -80,19 +81,19 @@ def test_each_color_group_computes_its_conjugacy_classes_once(monkeypatch):
 
     monkeypatch.setattr(semicolor.census, "conjugacy_classes_of_subgroups", counting)
     assert run_verification(G).passed
-    assert computed == Counter({H.members: 1 + 2 for H in subgroups_of_index(G, 2)})
+    assert computed == Counter({H.members: 1 + 1 for H in subgroups_of_index(G, 2)})
 
 
 def test_normalizers_computed_once_per_class_representative(monkeypatch):
     # The sweep's tables hold N_H(J) and N_G(J) of each class
     # representative for type1_cells (twice), class-equation, grid-pairing
-    # and census-counts; census-determinism's two enumerations compute
-    # N_H(J) on tables of their own.
+    # and census-counts; census-determinism's fresh enumeration computes
+    # N_H(J) on tables of its own, and its first census is the sweeps'.
     G = build_dihedral(8)
     reps = Counter()
     for H in subgroups_of_index(G, 2):
         for cls in semicolor.census.ColorGroupTables(G, H).classes:
-            reps[H.members, cls[0].members] += 3
+            reps[H.members, cls[0].members] += 2
             reps[tuple(G.elements), cls[0].members] += 1
     computed = Counter()
     plain = semicolor.census.normalizer
@@ -110,7 +111,7 @@ def test_one_orbit_oracle_builds_one_partition_per_right_coset(monkeypatch):
     # type1_partition(H, J, r) depends only on J*r: the suite builds one
     # partition per distinct (J, J*r) and still checks every (J, r).
     G = build_dihedral(8)
-    sweeps = [semicolor.verify._Sweep(G, H, None) for H in subgroups_of_index(G, 2)]
+    sweeps = [semicolor.verify._Sweep(G, H, None, {}) for H in subgroups_of_index(G, 2)]
     built = Counter()
     plain = semicolor.verify.type1_partition
 
@@ -137,7 +138,7 @@ def test_sweep_keeps_one_partition_per_recipe(name):
     table = G.table
     kinds = Counter()
     for H in subgroups_of_index(G, 2):
-        sweep = semicolor.verify._Sweep(G, H, None)
+        sweep = semicolor.verify._Sweep(G, H, None, {})
         pool = sweep.tables.pool
         for J in pool:
             by_coset = {}
@@ -209,7 +210,7 @@ def test_refuses_groups_above_the_search_bound_before_any_suite(monkeypatch):
 
 def _determinism(G):
     suite = Suite("census-determinism")
-    semicolor.verify._suite_determinism(suite, G, subgroups_of_index(G, 2))
+    semicolor.verify._suite_determinism(suite, G, subgroups_of_index(G, 2), [])
     assert suite.checks == 1
     return suite.failures
 
@@ -267,3 +268,121 @@ def test_verify_never_holds_the_census_text_or_dict(monkeypatch):
     monkeypatch.setattr(Census, "serialize", refuse)
     monkeypatch.setattr(Census, "to_json", refuse)
     assert run_verification(build_dihedral(8)).passed
+
+
+WORK_GROUPS = ["dihedral:8", "p4m_quotient:1"]  # order <= 32: uncapped sweeps
+
+
+def _sweep_pools(G):
+    return [
+        (H, semicolor.census.ColorGroupTables(G, H).pool)
+        for H in semicolor.verify._color_groups(G, exhaustive=False)
+    ]
+
+
+@pytest.mark.parametrize("name", WORK_GROUPS)
+def test_each_ordered_type2_pair_is_built_once(monkeypatch, name):
+    # two-orbit-oracle builds each pair in enumerate_type2's orientation, so
+    # orbit-size-two finds every type-2 entry's partition already built.
+    G = group_from_descriptor(parse_group_arg(name))
+    built = Counter()
+    plain = semicolor.verify.type2_partition
+
+    def counting(H, J1, J2):
+        built[H.members, J1.members, J2.members] += 1
+        return plain(H, J1, J2)
+
+    monkeypatch.setattr(semicolor.verify, "type2_partition", counting)
+    assert run_verification(G).passed
+    assert set(built.values()) == {1}
+    per_H = Counter(H for H, _, _ in built)
+    n = {H.members: len(pool) for H, pool in _sweep_pools(G)}
+    assert per_H == Counter({H: n[H] * (n[H] + 1) // 2 for H in n})
+
+
+@pytest.mark.parametrize("name", WORK_GROUPS)
+def test_each_distinct_partition_is_walked_once(monkeypatch, name):
+    # one-orbit-oracle and two-orbit-oracle share one perfect verdict per
+    # distinct partition, each from a walk of all of G; the verdict does not
+    # depend on H, so the sweeps of all color groups share it too.
+    G = group_from_descriptor(parse_group_arg(name))
+    walked = Counter()
+    plain = semicolor.verify.stabilized_by_whole_group
+
+    def counting(G, P):
+        walked[P.blocks] += 1
+        return plain(G, P)
+
+    monkeypatch.setattr(semicolor.verify, "stabilized_by_whole_group", counting)
+    assert run_verification(G).passed
+    blocks = set()
+    for H, pool in _sweep_pools(G):
+        blocks |= {type1_partition(H, J, r).blocks for J in pool for r in H.complement()}
+        blocks |= {
+            type2_partition(H, J1, J2).blocks
+            for J1, J2 in product(pool, repeat=2)
+            if (J1.order, J1.members) <= (J2.order, J2.members)  # enumerate_type2's orientation
+        }
+    assert walked == Counter(dict.fromkeys(blocks, 1))
+    # Fewer walks than recipes (one per right coset J*r, one per pair):
+    # recipes of different color groups build some partitions alike.
+    recipes = sum(
+        sum(len(H.complement()) // J.order for J in pool) + len(pool) * (len(pool) + 1) // 2
+        for H, pool in _sweep_pools(G)
+    )
+    assert sum(walked.values()) < recipes
+
+
+def _counting_enumerations(monkeypatch, reverse_entries=False):
+    calls = []
+
+    def counting(*args, **kwargs):
+        census = enumerate_all_semiperfect(*args, **kwargs)
+        if reverse_entries:
+            census.entries.reverse()
+        calls.append(census.total)
+        return census
+
+    monkeypatch.setattr(semicolor.verify, "enumerate_all_semiperfect", counting)
+    return calls
+
+
+def _determinism_suite(report):
+    (suite,) = [s for s in report.suites if s.name == "census-determinism"]
+    assert suite.checks == 1
+    return suite
+
+
+@pytest.mark.parametrize("name", WORK_GROUPS)
+def test_census_determinism_holds_the_sweep_census_against_a_fresh_one(monkeypatch, name):
+    G = group_from_descriptor(parse_group_arg(name))
+    calls = _counting_enumerations(monkeypatch)
+    assert _determinism_suite(run_verification(G)).passed
+    assert len(calls) == 1
+    monkeypatch.undo()
+    calls = _counting_enumerations(monkeypatch, reverse_entries=True)
+    assert _determinism_suite(run_verification(G)).failures == [
+        "census serialization is not reproducible"
+    ]
+    assert len(calls) == 1
+
+
+def test_capped_census_determinism_runs_two_enumerations(monkeypatch):
+    G = build_dihedral(20)  # order 40: the sweep caps its colors at 4
+    calls = _counting_enumerations(monkeypatch)
+    assert _determinism_suite(run_verification(G)).passed
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["standard", "exhaustive"])
+@pytest.mark.parametrize("name", ["dihedral:6", "dihedral:8", "p4m_quotient:1", "p4m_quotient:2"])
+def test_sweep_census_hashes_like_the_enumeration(name, exhaustive):
+    G = group_from_descriptor(parse_group_arg(name))
+    color_groups = semicolor.verify._color_groups(G, exhaustive)
+    sweeps = [semicolor.verify._Sweep(G, H, None, {}) for H in color_groups]
+    built = semicolor.verify._sweep_census(G, sweeps)
+    fresh = enumerate_all_semiperfect(G, H_filter=color_groups)
+    assert built.by_part == fresh.by_part and built.notes == fresh.notes
+    digest = semicolor.verify._digest
+    assert digest(built.chunks()) == digest(fresh.chunks())
+    assert digest(semicolor.verify._oracle_chunks(built)) == digest(fresh.chunks())
