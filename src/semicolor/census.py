@@ -27,7 +27,8 @@ block is a sorted tuple:
 The census builds no partition for either.  Per color group H it builds
 one ``ColorGroupTables``: one subgroup pool, the left coset representatives
 and core of each J in it, the pool's conjugacy classes under G, and the
-normalizers in H and in G of each class representative.
+normalizers in H and in G of each class representative, all three read
+from the one coset walk of ``groups``.
 ``enumerate_type1``, ``enumerate_type2`` and ``type1_cells`` take those
 tables as their only argument, and the census, ``table1`` and ``verify``
 all call them by these names.  The blocks h*base are then one sort per
@@ -90,7 +91,10 @@ ints.  A value whose key sits d levels deep is the ``json.dumps`` text
 with every line break followed by d more indents; JSON text holds no raw
 newline elsewhere, so escaping stays ``json``'s own.
 ``Census.to_json`` is the plain structure whose ``json.dumps`` text
-``verify`` and the tests hold the writer against.
+``verify`` and the tests hold the writer against.  ``Census.from_parts``
+joins a census's parts, for the census and for ``verify``, and
+``Census._frame`` holds its top-level fields but the entries for
+``to_json``, ``chunks`` and ``verify``'s oracle.
 """
 
 from __future__ import annotations
@@ -159,6 +163,8 @@ class ColoringSpec:
         l = H.group.identity if l is None else l
         if l not in H:
             raise InvalidParameterError("the conjugating element l must lie in H")
+        if r in H:
+            raise InvalidParameterError("r must lie outside H")
         return cls(H, "type1", J=J, l=l, r=r)
 
     @classmethod
@@ -520,22 +526,34 @@ class Census:
     by_part: dict[tuple[str, str], int]  # (H key, kind) -> entry count
     notes: list[str] = field(default_factory=list)
 
+    @classmethod
+    def from_parts(
+        cls, group: FiniteGroup, parts: Iterable[tuple[Subgroup, str, list]], notes=()
+    ) -> "Census":
+        """The ``(H, kind, entries)`` parts joined in order, each counted in
+        ``by_part`` under its kind and H's display word, built once per H."""
+        entries, by_part, words = [], {}, _Memo(generating_words)
+        for H, kind, part in parts:
+            by_part[words[H], kind] = len(part)
+            entries.extend(part)
+        return cls(group=group, entries=entries, by_part=by_part, notes=list(notes))
+
     @property
     def total(self) -> int:
         return len(self.entries)
 
-    def to_json(self) -> dict:
-        """The census as one JSON value: the oracle of ``serialize``."""
+    def _frame(self) -> dict:
+        """Every top-level field of the census JSON but the entries."""
         return {
             "group": dict(self.group.descriptor),
             "total": self.total,
-            "byPart": self._by_part_json(),
-            "entries": [e.to_json() for e in self.entries],
+            "byPart": {f"{h}|{kind}": n for (h, kind), n in sorted(self.by_part.items())},
             "notes": list(self.notes),
         }
 
-    def _by_part_json(self) -> dict[str, int]:
-        return {f"{h}|{kind}": n for (h, kind), n in sorted(self.by_part.items())}
+    def to_json(self) -> dict:
+        """The census as one JSON value: the oracle of ``serialize``."""
+        return {**self._frame(), "entries": [e.to_json() for e in self.entries]}
 
     def serialize(self) -> str:
         """``json.dumps(self.to_json(), indent=2, sort_keys=True) + "\\n"``,
@@ -551,7 +569,8 @@ class Census:
         group = _indented(self.group.descriptor, 4)
         # One label list per subgroup, keyed by its members.
         members = _Memo(lambda m: _indented([self.group.labels[g] for g in m], 4))
-        yield f'{{\n  "byPart": {_indented(self._by_part_json(), 1)},\n  "entries": '
+        frame = self._frame()
+        yield f'{{\n  "byPart": {_indented(frame["byPart"], 1)},\n  "entries": '
         opening = "[\n"
         for e in self.entries:
             c = e.classification
@@ -579,9 +598,9 @@ class Census:
         closing = "\n  ]" if self.entries else "[]"
         yield (
             f'{closing},\n'
-            f'  "group": {_indented(self.group.descriptor, 1)},\n'
-            f'  "notes": {_indented(self.notes, 1)},\n'
-            f'  "total": {json.dumps(self.total)}\n}}\n'
+            f'  "group": {_indented(frame["group"], 1)},\n'
+            f'  "notes": {_indented(frame["notes"], 1)},\n'
+            f'  "total": {json.dumps(frame["total"])}\n}}\n'
         )
 
 
@@ -634,8 +653,6 @@ def enumerate_all_semiperfect(
         )
     if H_filter is None:
         H_filter = subgroups_of_index(G, 2)
-    entries: list[CensusEntry] = []
-    by_part: dict[tuple[str, str], int] = {}
     notes: list[str] = []
     if max_colors is not None and max_colors < 2:
         notes.append("no semiperfect coloring uses fewer than two colors")
@@ -645,15 +662,15 @@ def enumerate_all_semiperfect(
             "quotient realization: only color subgroups containing the "
             f"modulus-{G.descriptor['N']} translation lattice are visible"
         )
-    for H in H_filter:
-        h_key = generating_words(H)
-        tables = ColorGroupTables(G, H, max_colors)  # one subgroup pool per color group
-        for kind in kinds:
-            pipeline = enumerate_type1 if kind == "type1" else enumerate_type2
-            part = pipeline(tables)
-            by_part[(h_key, kind)] = len(part)
-            entries.extend(part)
-    return Census(group=G, entries=entries, by_part=by_part, notes=notes)
+
+    def parts():
+        for H in H_filter:
+            tables = ColorGroupTables(G, H, max_colors)  # one subgroup pool per color group
+            for kind in kinds:
+                pipeline = enumerate_type1 if kind == "type1" else enumerate_type2
+                yield H, kind, pipeline(tables)
+
+    return Census.from_parts(G, parts(), notes)
 
 
 def _assert_distinct_keys(part: Sequence[CensusEntry]):
@@ -743,18 +760,8 @@ class GroupAutomorphism:
         generator in the error; generators that do not reach the whole group
         raise too.
         """
-        names = set(group.generators)
-        if names != set(images):
-            raise InvalidParameterError(
-                f"generator images must name exactly the generators {sorted(names)}"
-            )
         gens, imgs = list(group.generators.values()), []
-        for name in group.generators:
-            img = images[name]
-            if isinstance(img, str):
-                img = group.element(img)
-            elif isinstance(img, bool) or not (isinstance(img, int) and 0 <= img < group.order):
-                raise InvalidParameterError(f"unknown element index {img}")
+        for name, img in zip(group.generators, group.generator_images(group.generators, images)):
             imgs.append(img)
             f = _extend(group, gens[: len(imgs)], imgs)
             if f is None:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -215,6 +215,23 @@ class FiniteGroup:
 
     def elements_from_words(self, words: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.element(w) for w in words)
+
+    def generator_images(self, names: Collection[str], images: Mapping) -> Iterator[int]:
+        """The image of each of ``names`` in turn: a word or an element index
+        (an int in range, not a bool).  The names are checked at once, each
+        image only when it is reached, so a caller's earlier fault wins."""
+        if set(names) != set(images):
+            raise InvalidParameterError(
+                f"generator images must name exactly the generators {sorted(names)}"
+            )
+        return map(self._image_element, map(images.__getitem__, names))
+
+    def _image_element(self, image: str | int) -> int:
+        if isinstance(image, str):
+            return self.element(image)
+        if isinstance(image, bool) or not isinstance(image, int) or not 0 <= image < self.order:
+            raise InvalidParameterError(f"unknown element index {image!r}")
+        return image
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
@@ -495,19 +512,17 @@ def _cyclic_extension(universe: Subgroup) -> list[Subgroup]:
     closures for each K in the lattice of the universe U.
     """
     group = universe.group
-    trivial = (group.identity,)
-    found = {trivial: Subgroup(group, trivial)}
-    frontier = [(trivial, ())]  # (members, generators found from)
-    for members, gens in frontier:  # grows while it is walked
-        covered = set(members)
-        for g in universe.members:
-            if g in covered:
+    trivial = Subgroup(group, (group.identity,))
+    found = {trivial.members: trivial}
+    frontier = [(trivial, ())]  # (subgroup, generators found from)
+    for K, gens in frontier:  # grows while it is walked
+        for g in _first_per_coset(group.table, universe.members, K.members, right=True):
+            if g in K.member_set:  # K's own coset adds nothing
                 continue
-            covered.update(group.table[k][g] for k in members)
             bigger = _close_under_products(group, gens + (g,))
             if bigger not in found:
                 found[bigger] = Subgroup(group, bigger)
-                frontier.append((bigger, gens + (g,)))
+                frontier.append((found[bigger], gens + (g,)))
     return list(found.values())
 
 
@@ -623,6 +638,24 @@ def subgroups_of_index_at_most(universe: Subgroup, bound: int) -> list[Subgroup]
     return sorted(subs, key=lambda s: (-s.order, s.members))
 
 
+def _first_per_coset(table, elements: Iterable[int], K: Sequence[int], right=False) -> list[int]:
+    """The first of ``elements`` in each left coset g*K (right coset K*g
+    when ``right``) they meet, in order: each coset's smallest member among
+    them when they ascend.  The one coset walk of both coset lists,
+    ``normalizer`` and ``_cyclic_extension``."""
+    seen: set[int] = set()
+    reps = []
+    for g in elements:
+        if g in seen:
+            continue
+        reps.append(g)
+        if right:
+            seen.update(table[k][g] for k in K)
+        else:
+            seen.update(map(table[g].__getitem__, K))
+    return reps
+
+
 def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
     """Elements of ``within`` whose conjugation fixes J setwise.
 
@@ -634,15 +667,10 @@ def normalizer(within: Subgroup, J: Subgroup) -> Subgroup:
     within._check_ambient(J)
     table, in_J = J.group.table, J.member_set
     K = [k for k in within.members if k in in_J]
-    seen: set[int] = set()
     found: list[int] = []
-    for w in within.members:
-        if w in seen:
-            continue
-        coset = [table[w][k] for k in K]
-        seen.update(coset)
+    for w in _first_per_coset(table, within.members, K):
         if J.is_normalized_by(w):
-            found += coset
+            found.extend(map(table[w].__getitem__, K))
     return Subgroup(J.group, tuple(sorted(found)))
 
 
@@ -656,17 +684,8 @@ def left_coset_reps(H: Subgroup, K: Subgroup) -> list[int]:
     if not K.is_subset_of(H):
         raise InvalidParameterError("coset representatives need K contained in H")
     reps = H._coset_reps.get(K.members)
-    if reps is not None:
-        return reps
-    table = H.group.table
-    seen: set[int] = set()
-    reps = []
-    for h in H.members:  # ascending, so the first hit is the smallest member
-        if h in seen:
-            continue
-        reps.append(h)
-        seen.update(table[h][k] for k in K.members)
-    H._coset_reps[K.members] = reps
+    if reps is None:
+        reps = H._coset_reps[K.members] = _first_per_coset(H.group.table, H.members, K.members)
     return reps
 
 
@@ -682,14 +701,7 @@ def right_coset_reps_outside(J: Subgroup, G: FiniteGroup, H: Subgroup) -> list[i
     if not J.is_subset_of(H):
         raise InvalidParameterError("J must be contained in H")
     _require_index_two(H)
-    seen: set[int] = set()
-    reps = []
-    for g in H.complement():
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.update(G.table[j][g] for j in J.members)
-    return reps
+    return _first_per_coset(G.table, H.complement(), J.members, right=True)
 
 
 def conjugacy_classes_of_subgroups(

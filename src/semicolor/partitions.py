@@ -220,7 +220,7 @@ def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
     _require_inside(J, H)
     group = H.group
     if r in H:
-        raise InvalidParameterError("the second coset representative r must lie outside H")
+        raise InvalidParameterError("r must lie outside H")
     return general_partition(H, [(J, (group.identity, r))])
 
 

@@ -53,23 +53,12 @@ class Presentation:
         Returns the list of resulting elements; all must be the identity
         for the images to define a homomorphism from the presented group.
         """
-        if set(images) != set(self.generators):
-            raise InvalidParameterError(
-                f"generator images must name exactly the generators {sorted(self.generators)}"
-            )
-        resolved = {}
-        for name in self.generators:
-            img = images[name]
-            if isinstance(img, str):
-                img = group.element(img)
-            elif isinstance(img, bool) or not isinstance(img, int) or not 0 <= img < group.order:
-                raise InvalidParameterError(f"unknown element index {img!r}")
-            resolved[name] = img
+        resolved = list(group.generator_images(self.generators, images))
         out = []
         for steps in self.relator_symbols():
             acc = group.identity
             for gi, inverted in steps:
-                g = resolved[self.generators[gi]]
+                g = resolved[gi]
                 if inverted:
                     g = group.inverse[g]
                 acc = group.table[acc][g]

@@ -8,8 +8,9 @@ The sweep is built once per color group H: one ``ColorGroupTables`` (its
 pool is the lattice of H up to order 16, else the subgroups of index <= 4),
 and the census's own ``enumerate_type2`` and ``enumerate_type1`` on them.
 ``coset-bookkeeping`` checks the left coset representatives that the tables
-kept on H, from which every block is built; ``class-equation`` reads the
-tables' conjugacy classes and the G-normalizer of each class representative;
+kept on H, from ``groups``' one coset walk, and every block is built from
+them; ``class-equation`` reads the tables' conjugacy classes and the
+G-normalizer of each class representative;
 ``involution-bridge``, ``one-orbit-oracle`` and ``two-orbit-oracle`` read
 the pool; ``orbit-size-two`` and ``conjugate-transport`` read the entries;
 ``census-counts`` reads the classes, their normalizers and the entries;
@@ -22,16 +23,18 @@ the right coset J*r, and a type-2 one once per ordered (J1, J2).
 J^l and r for a type-1 entry) and ``grid-pairing`` read their partitions
 from it; ``two-orbit-oracle`` builds each pair in ``enumerate_type2``'s
 orientation, smaller (order, members) first, so ``orbit-size-two`` finds
-every entry's partition built.  ``conjugate-transport`` reads each entry's
-own partition.  The left coset representatives every partition is built
-from are kept on H by ``left_coset_reps``.  ``diagram-soundness`` builds
-one diagram per distinct conjugate of J.  An uncapped sweep (G of order
-<= 32) has enumerated the whole census of its color groups, so once
-``conjugate-transport`` has run its type-1 and type-2 parts become the
-first census of ``census-determinism``, and the sweeps are dropped: their
-partitions are freed before ``diagram-soundness`` and the fresh
-enumeration.  Capped sweeps leave ``census-determinism`` two fresh
-enumerations of its own.
+every entry's partition built.  ``conjugate-transport`` reads each
+entry's partition from the sweep too, so the one partition it builds per
+entry is the transported spec's own.  The left coset representatives
+every partition is built from are kept on H by ``left_coset_reps``.
+``diagram-soundness`` builds one diagram per distinct conjugate of J.  An
+uncapped sweep (G of order <= 32) has enumerated the whole census of its
+color groups, so once ``conjugate-transport`` has run,
+``Census.from_parts`` joins the sweeps' type-1 and type-2 parts into the
+first census of ``census-determinism``, as ``enumerate_all_semiperfect``
+joins its own, and the sweeps are dropped: their partitions are freed
+before ``diagram-soundness`` and the fresh enumeration.  Capped sweeps
+leave ``census-determinism`` two fresh enumerations of its own.
 
 Each brute-force question tests every g in G once and stops when the
 answer is known.  ``orbit-size-two`` builds one ``orbit_table`` per entry,
@@ -51,12 +54,12 @@ module, which reads its witness from the element-map test.
 gives the same text on two enumerations, and the text that ``json.dumps(
 Census.to_json(), indent=2, sort_keys=True)`` gives.  The first census is
 released before the second is built, so the peak holds one of them.  Each
-text goes into one sha256 digest a piece at a time.  The oracle's head and
-tail are ``json.dumps`` of the census with an empty entry list, and each
-entry is ``json.dumps`` of its own ``to_json``, re-indented; ``to_json``
-builds a fresh tree that holds no cycle, so the encoder skips its cycle
-check.  The check is byte-exact over every entry, and no census text or
-census dict is held whole.
+text goes into one sha256 digest a piece at a time.  The oracle's head
+and tail are ``json.dumps`` of ``Census._frame`` with an empty entry list,
+and each entry is ``json.dumps`` of its own ``to_json``, re-indented;
+``to_json`` builds a fresh tree that holds no cycle, so the encoder skips
+its cycle check.  The check is byte-exact over every entry, and no census
+text or census dict is held whole.
 """
 
 from __future__ import annotations
@@ -88,7 +91,6 @@ from .groups import (
     Subgroup,
     all_subgroups,
     check_search_order,
-    generating_words,
     perfect_coset_count,
     subgroup_generated,
     subgroups_of_index,
@@ -197,6 +199,11 @@ class _Sweep:
             return self.type1_partition(entry.J.conjugated_by(entry.l), entry.r)
         return self.type2_partition(entry.J1, entry.J2)
 
+    def parts(self) -> list[tuple[Subgroup, str, list[CensusEntry]]]:
+        """The census parts of H, as ``enumerate_all_semiperfect`` orders
+        them: the type-1 part, then the type-2 part."""
+        return [(self.H, "type1", self.type1), (self.H, "type2", self.type2)]
+
     def perfect(self, P: GroupPartition) -> bool:
         """``stabilized_by_whole_group(G, P)``, one walk of G per distinct
         partition: recipes that build the same blocks, in this color group
@@ -205,21 +212,6 @@ class _Sweep:
         if verdict is None:
             verdict = self.verdicts[P.blocks] = stabilized_by_whole_group(self.H.group, P)
         return verdict
-
-
-def _sweep_census(G: FiniteGroup, sweeps: list[_Sweep]) -> Census:
-    """The census ``enumerate_all_semiperfect(G, H_filter=color_groups)``
-    builds, read from the uncapped sweeps of those color groups: per color
-    group its type-1 part, then its type-2 part, under the same byPart
-    keys."""
-    entries: list[CensusEntry] = []
-    by_part: dict[tuple[str, str], int] = {}
-    for sweep in sweeps:
-        h_key = generating_words(sweep.H)
-        for kind, part in (("type1", sweep.type1), ("type2", sweep.type2)):
-            by_part[h_key, kind] = len(part)
-            entries.extend(part)
-    return Census(group=G, entries=entries, by_part=by_part)
 
 
 def _timed(suite: Suite, fn):
@@ -256,7 +248,9 @@ def run_verification(G: FiniteGroup, exhaustive: bool = False) -> VerificationRe
     # census-determinism takes it as its first census.  No later suite
     # reads the sweeps, so their partitions are freed before the diagrams
     # and the fresh enumeration are built.
-    built = [_sweep_census(G, sweeps)] if cap is None else []
+    built = []
+    if cap is None:
+        built.append(Census.from_parts(G, [part for sweep in sweeps for part in sweep.parts()]))
     del sweeps, verdicts
     if G.descriptor.get("kind") == "p4m_quotient":
         suites.append(
@@ -472,7 +466,9 @@ def _suite_transport(suite: Suite, G: FiniteGroup, sweeps: list[_Sweep]):
                 lambda: f"transport changed verdict for {entry.key_string()}",
             )
             suite.check(
-                action_equivalence_check(entry.H, entry.partition, moved.H, moved.partition, alpha),
+                action_equivalence_check(
+                    entry.H, sweep.partition_of(entry), moved.H, moved.partition, alpha
+                ),
                 lambda: f"transported action differs for {entry.key_string()}",
             )
     suite.check(True, "transport sweep completed")
@@ -555,17 +551,7 @@ def _oracle_chunks(census: Census) -> Iterator[str]:
     that list, around ``json.dumps`` of each entry re-indented to its depth.
     JSON text holds no raw newline outside its layout, so re-indenting every
     line break is exact."""
-    frame = json.dumps(
-        {
-            "group": census.group.descriptor,
-            "total": census.total,
-            "byPart": census._by_part_json(),
-            "notes": census.notes,
-            "entries": [],
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    frame = json.dumps({**census._frame(), "entries": []}, indent=2, sort_keys=True)
     head, _, tail = frame.partition('"entries": []')
     yield head + '"entries": '
     if not census.entries:

@@ -494,6 +494,28 @@ class TestRenderCommand:
         return err
 
 
+def test_r_inside_H_gives_render_and_conjugate_one_error(tmp_path, capsys):
+    spec = {
+        "group": {"kind": "dihedral", "n": 6},
+        "H": ["e", "a^2", "a^4", "b", "a^2b", "a^4b"],
+        "kind": "type1",
+        "J": ["e"],
+        "r": "b",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "out"
+    for argv in (
+        ["render", str(path), "--out", str(out)],
+        ["conjugate", str(path), "--map", "a=a5,b=ab"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r must lie outside H\n"
+    assert not out.exists()
+
+
 class TestConjugateCommand:
     def test_explicit_map(self, capsys, four_color_spec_file):
         code = main(["conjugate", str(four_color_spec_file), "--map", "a=a5,b=ab"])

@@ -703,6 +703,46 @@ def test_normalizer_matches_the_definition(descriptor):
     assert outside > 0
 
 
+@pytest.mark.parametrize("descriptor", ["dihedral:12", "p4m_quotient:3"])
+def test_coset_walks_match_their_definitions_on_extended_lattices(descriptor):
+    # Neither group is a 2-group, so cyclic extension builds both lattices,
+    # and it, right_coset_reps_outside and normalizer share one coset walk.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    lattice = all_subgroups(G)
+    extended = groups._cyclic_extension(whole_group(G))
+    assert lattice == sorted(extended, key=lambda s: (s.order, s.members))
+    table = G.table
+    for W in lattice:
+        for J in lattice:
+            assert normalizer(W, J).members == reference_normalizer(W, J), (W, J)
+    for H in subgroups_of_index(G, 2):
+        for J in lattice:
+            if J.is_subset_of(H):
+                minima = {min(table[j][g] for j in J.members) for g in H.complement()}
+                assert right_coset_reps_outside(J, G, H) == sorted(minima), (H, J)
+
+
+def relabelled(G, shift):
+    """G with every element index g moved to (g + shift) % order, so the
+    identity is element ``shift``."""
+    n = G.order
+    labels = [G.labels[(g - shift) % n] for g in range(n)]
+    table = [
+        [(G.table[(a - shift) % n][(b - shift) % n] + shift) % n for b in range(n)]
+        for a in range(n)
+    ]
+    generators = {name: (g + shift) % n for name, g in G.generators.items()}
+    return FiniteGroup(labels, table, generators, G.descriptor)
+
+
+@pytest.mark.parametrize("n, shift", [(3, 1), (3, 5), (4, 3), (6, 7)])
+def test_lattice_does_not_assume_the_identity_is_element_zero(n, shift):
+    # D_3 and D_6 are found by cyclic extension, D_4 by index-2 descent.
+    G = relabelled(build_dihedral(n), shift)
+    assert G.identity == shift
+    assert [s.members for s in all_subgroups(G)] == saturating_subgroups(whole_group(G))
+
+
 class TestPerfectCosetCount:
     def test_worked_values(self, d6, hexH):
         assert perfect_coset_count(d6, hexH, subgroup_from_words(d6, "b")) == 1

@@ -4,8 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from semicolor.census import GroupAutomorphism
 from semicolor.errors import InvalidParameterError, ResourceLimitError
-from semicolor.groups import build_p4m_quotient, subgroup_from_words, subgroups_of_index
+from semicolor.groups import (
+    build_dihedral,
+    build_p4m_quotient,
+    subgroup_from_words,
+    subgroups_of_index,
+)
 from semicolor.presentations import (
     BUILTIN_EMBEDDINGS,
     MAX_INDEX,
@@ -140,6 +146,48 @@ class TestBuiltinEmbeddings:
         images = {name: g2.element(word) for name, word in BUILTIN_EMBEDDINGS["p4m"].items()}
         values = builtin_presentation("p4m").evaluate_in(g2, images)
         assert values == [g2.identity] * len(values)
+
+
+def _resolver_errors(images):
+    """The error texts of the two callers of ``FiniteGroup.generator_images``
+    on the same D_6 images."""
+    d6 = build_dihedral(6)
+    errors = []
+    for resolve in (GroupAutomorphism.from_generator_images, D6_PRESENTATION.evaluate_in):
+        with pytest.raises(InvalidParameterError) as caught:
+            resolve(d6, images)
+        errors.append(str(caught.value))
+    return errors
+
+
+@pytest.mark.parametrize(
+    "image, error",
+    [
+        (True, "unknown element index True"),
+        (-1, "unknown element index -1"),
+        (12, "unknown element index 12"),
+        (1.5, "unknown element index 1.5"),
+        ("zz", "unknown generator 'z' in word 'zz'; known: ['a', 'b']"),
+    ],
+    ids=["bool", "negative", "group-order", "float", "unknown-word"],
+)
+def test_both_resolvers_reject_a_bad_image_alike(image, error):
+    assert _resolver_errors({"a": image, "b": "ab"}) == [error, error]
+
+
+def test_both_resolvers_check_the_names_alike():
+    error = "generator images must name exactly the generators ['a', 'b']"
+    assert _resolver_errors({"a": "a"}) == [error, error]
+    assert _resolver_errors({"a": "a", "b": "b", "c": "e"}) == [error, error]
+
+
+def test_each_image_is_resolved_when_it_is_reached():
+    # a -> a^2 extends to no automorphism, which the automorphism finds
+    # before it reads b's image; evaluate_in reads every image first.
+    assert _resolver_errors({"a": "a2", "b": 99}) == [
+        "generator images do not extend to an automorphism (at a)",
+        "unknown element index 99",
+    ]
 
 
 class TestLowIndexCounts:

@@ -333,6 +333,30 @@ def test_each_distinct_partition_is_walked_once(monkeypatch, name):
     assert sum(walked.values()) < recipes
 
 
+@pytest.mark.parametrize("name", ["dihedral:8", "dihedral:16", "p4m_quotient:1"])
+def test_transport_builds_only_the_moved_partitions(monkeypatch, name):
+    # conjugate-transport reads each entry's partition from the sweep, so
+    # the only partitions built through ColoringSpec.partition are those
+    # of the transported specs, one each.
+    G = group_from_descriptor(parse_group_arg(name))
+    built, moved = [], []
+    for fn in ("type1_partition", "type2_partition"):
+        def counting(*args, plain=getattr(semicolor.census, fn)):
+            built.append(plain(*args))
+            return built[-1]
+
+        monkeypatch.setattr(semicolor.census, fn, counting)
+    plain_conjugate = semicolor.verify.conjugate_spec
+
+    def recording(spec, alpha):
+        moved.append(plain_conjugate(spec, alpha))
+        return moved[-1]
+
+    monkeypatch.setattr(semicolor.verify, "conjugate_spec", recording)
+    assert run_verification(G).passed
+    assert moved and list(map(id, built)) == [id(spec._partition) for spec in moved]
+
+
 def _counting_enumerations(monkeypatch, reverse_entries=False):
     calls = []
 
@@ -380,7 +404,7 @@ def test_sweep_census_hashes_like_the_enumeration(name, exhaustive):
     G = group_from_descriptor(parse_group_arg(name))
     color_groups = semicolor.verify._color_groups(G, exhaustive)
     sweeps = [semicolor.verify._Sweep(G, H, None, {}) for H in color_groups]
-    built = semicolor.verify._sweep_census(G, sweeps)
+    built = Census.from_parts(G, [part for sweep in sweeps for part in sweep.parts()])
     fresh = enumerate_all_semiperfect(G, H_filter=color_groups)
     assert built.by_part == fresh.by_part and built.notes == fresh.notes
     digest = semicolor.verify._digest
