@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -113,6 +112,7 @@ from .groups import (
     check_search_order,
     conjugacy_classes_of_subgroups,
     generating_words,
+    lazy_field,
     left_coset_reps,
     normalizer,
     perfect_coset_count,
@@ -332,18 +332,18 @@ class ColorGroupTables:
         self.text = _Memo(lambda block: ",".join(map(G.labels.__getitem__, block)))
         self.classifications: dict[tuple[int, int, int], Classification] = {}
 
-    @cached_property
+    @lazy_field
     def classes(self) -> list[list[Subgroup]]:
         """The pool's conjugacy classes under all of G, as
         ``conjugacy_classes_of_subgroups`` orders them."""
         return conjugacy_classes_of_subgroups(self.pool, whole_group(self.H.group))
 
-    @cached_property
+    @lazy_field
     def h_normalizers(self) -> dict[tuple[int, ...], Subgroup]:
         """N_H(J) for each class representative J, keyed by its members."""
         return {cls[0].members: normalizer(self.H, cls[0]) for cls in self.classes}
 
-    @cached_property
+    @lazy_field
     def g_normalizers(self) -> dict[tuple[int, ...], Subgroup]:
         """N_G(J) for each class representative J, keyed by its members."""
         full = whole_group(self.H.group)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -70,6 +69,26 @@ def check_search_order(order: int, search: str) -> None:
 
 
 _WORD_TOKEN = re.compile(r"([A-Za-z])(\d*)")
+
+
+class lazy_field:
+    """A lazily computed attribute: the first read calls the function and
+    stores its value in the instance ``__dict__``, where every later read
+    finds it before this non-data descriptor, as ``functools.cached_property``
+    does but without the lock it takes on each first read up to Python
+    3.11.  The store
+    bypasses ``__setattr__``, so frozen dataclasses stay frozen."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class FiniteGroup:
@@ -161,7 +180,7 @@ class FiniteGroup:
             acc = self.table[acc][g]
         return acc
 
-    @cached_property
+    @lazy_field
     def element_orders(self) -> tuple[int, ...]:
         orders = []
         for g in range(self.order):
@@ -253,18 +272,18 @@ class Subgroup:
             raise InvalidParameterError("member set is not closed under the group operation")
         return sub
 
-    @cached_property
+    @lazy_field
     def member_set(self) -> frozenset[int]:
         return frozenset(self.members)
 
-    @cached_property
+    @lazy_field
     def mask(self) -> int:
         m = 0
         for g in self.members:
             m |= 1 << g
         return m
 
-    @cached_property
+    @lazy_field
     def _coset_reps(self) -> dict[tuple[int, ...], list[int]]:
         """``left_coset_reps(self, K)`` of each K asked for so far, keyed by
         ``K.members``."""

@@ -4,9 +4,14 @@ A coloring of a pattern whose tiles correspond one-to-one with group
 elements is modeled as a partition of the group; a symmetry permutes the
 colors exactly when left translation by it maps blocks onto blocks.  One
 constructor, ``general_partition``, builds the paper's partition
-``{h * J_i * Y_i : i in I, h in H}`` for a color group H and validates it.
-The two standard families for an index-2 color group H are its special
-cases:
+``{h * J_i * Y_i : i in I, h in H}`` for a color group H from sorted
+translates, sorts them once and validates the result once: a partition
+passes by set arithmetic (nonempty blocks, sizes summing to |G|, union
+equal to G), and only a fault (an empty block, a member outside the
+group, an overlap or a missing element) is searched for and named block
+by block.  ``GroupPartition.from_blocks`` sorts arbitrary blocks first and
+validates them the same way.  The two standard families for an index-2
+color group H are its special cases:
 
 * type 1: the one part (J, {e, r}), blocks ``h * (J u J*r)`` for ``h in H``
   (one orbit of colors),
@@ -14,21 +19,26 @@ cases:
   the left cosets of J1 inside H plus the left cosets of J2 outside H
   (two orbits of colors).
 
-Fast classifiers decide perfect versus semiperfect from (J, r) or (J1, J2)
-alone; ``partition_stabilizer`` and ``stabilized_by_whole_group`` are the
-brute-force oracles they are tested against.  Every oracle rests on one
-early-exit test, ``GroupPartition._block_image(images, Q)``: does the
-element map ``images`` send each block of P into one block of Q?  The map
-is a table row ``table[g]`` for left translation by g, or the images of an
+Fast classifiers decide perfect versus semiperfect from (J, r) or (J1,
+J2) alone; ``partition_stabilizer`` and ``stabilized_by_whole_group``
+are the brute-force oracles they are tested against.
+``stabilized_by_whole_group`` tests G's declared generators before every
+element, so a partition that is not perfect is found out by a generator
+outside its stabilizer.  Every oracle rests on one early-exit test,
+``GroupPartition._block_image(images, Q)``: does the element map
+``images`` send each block of P into one block of Q?  The map is a table
+row ``table[g]`` for left translation by g, or the images of an
 automorphism (``verify.action_equivalence_check``).  With Q = P and a
 table row it decides whether g stabilizes P.  ``orbit_table`` runs that
 test once per g, which gives Stab(P) and the block maps of its members;
 by orbit-stabilizer gP depends only on the left coset g*Stab(P), so each
 other coset builds its translate once and reads the block maps of its
-members off that translate's ``block_of`` without a walk.  The table gives
-``equivalence_class`` and the stabilizer of every translate without
-building a translate per g.  ``color_action`` reads the permutations of
-H's members from those block maps, so it walks no block itself.
+members off that translate's ``block_of`` without a walk.  The table
+gives ``equivalence_class`` and the stabilizer of every translate
+without building a translate per g.  ``color_action`` reads the
+permutations of H's members from those block maps, so it walks no block
+itself, and counts H's orbits on the blocks in one pass: the orbit of
+block b is the set of its images under all of H.
 
 No command calls the oracles or ``color_action``: only ``verify`` and the
 tests do.  They stay in this module because ``perfbench/tracing.py`` looks
@@ -38,12 +48,11 @@ up its traced functions by module name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidParameterError, NotAPartitionError
-from .groups import FiniteGroup, Subgroup, _require_index_two, left_coset_reps
+from .groups import FiniteGroup, Subgroup, _require_index_two, lazy_field, left_coset_reps
 
 PERFECT = "perfect"
 SEMIPERFECT = "semiperfect"
@@ -68,7 +77,7 @@ class GroupPartition:
         _validate_partition(group, canon)
         return cls(group, canon)
 
-    @cached_property
+    @lazy_field
     def block_of(self) -> tuple[int, ...]:
         out = [-1] * self.group.order
         for i, block in enumerate(self.blocks):
@@ -86,9 +95,9 @@ class GroupPartition:
         Translation is a bijection, so the translated blocks are distinct
         and only need sorting, each inside and then among themselves.
         """
-        row = self.group.table[g]
+        image = self.group.table[g].__getitem__
         return GroupPartition(
-            self.group, tuple(sorted([tuple(sorted([row[e] for e in b])) for b in self.blocks]))
+            self.group, tuple(sorted([tuple(sorted(map(image, b))) for b in self.blocks]))
         )
 
     def _block_image(
@@ -132,8 +141,8 @@ class GroupPartition:
         return [[labs[e] for e in block] for block in self.blocks]
 
     def key_string(self) -> str:
-        labs = self.group.labels
-        return "|".join(",".join(labs[e] for e in block) for block in self.blocks)
+        label = self.group.labels.__getitem__
+        return "|".join([",".join(map(label, block)) for block in self.blocks])
 
 
 def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
@@ -142,18 +151,28 @@ def canonical_blocks(blocks: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], 
 
 
 def _validate_partition(group: FiniteGroup, blocks: Sequence[tuple[int, ...]]):
+    """Accept ``blocks`` as a partition of the group's elements, or raise
+    ``NotAPartitionError`` naming the first fault.  Nonempty blocks whose
+    sizes sum to |G| and whose union is every element are pairwise
+    disjoint, so a partition passes by set arithmetic alone; only a fault
+    is searched for block by block."""
+    n = group.order
+    if all(blocks) and sum(map(len, blocks)) == n and set().union(*blocks) == set(range(n)):
+        return
     seen: dict[int, tuple[int, ...]] = {}
     for block in blocks:
         if not block:
             raise NotAPartitionError("empty block")
         for e in block:
+            if e not in group.elements:
+                raise NotAPartitionError(f"block member {e!r} is not an element of the group")
             if e in seen:
                 raise NotAPartitionError(
                     f"blocks overlap at {group.labels[e]}",
                     colliding=(seen[e], block),
                 )
             seen[e] = block
-    if len(seen) != group.order:
+    if len(seen) != n:
         missing = [group.labels[e] for e in group.elements if e not in seen]
         raise NotAPartitionError(f"blocks do not cover the group; missing {missing}")
 
@@ -200,7 +219,9 @@ def general_partition(
     ``h * J * Y`` depends only on the coset ``h*J``, so each part is
     translated by one representative per left coset of J in H.  The union
     of the Y_i must hit every coset of H exactly once, otherwise the blocks
-    overlap or fail to cover and the construction is rejected.
+    overlap or fail to cover and the construction is rejected.  The
+    translates are sorted tuples already, so the distinct ones are sorted
+    once among themselves and validated once.
     """
     group = H.group
     table = group.table
@@ -211,7 +232,9 @@ def general_partition(
         if not base:
             raise InvalidParameterError("each part needs at least one representative")
         blocks.update(_translates(group, left_coset_reps(H, J), base))
-    return GroupPartition.from_blocks(group, blocks)
+    canon = tuple(sorted(blocks))
+    _validate_partition(group, canon)
+    return GroupPartition(group, canon)
 
 
 def type1_partition(H: Subgroup, J: Subgroup, r: int) -> GroupPartition:
@@ -249,10 +272,15 @@ def partition_stabilizer(G: FiniteGroup, P: GroupPartition) -> Subgroup:
 
 
 def stabilized_by_whole_group(G: FiniteGroup, P: GroupPartition) -> bool:
-    """Whether every g in G stabilizes P, i.e. P is perfect; the scan
-    stops at the first g that splits a block."""
+    """Whether every g in G stabilizes P, i.e. P is perfect.  G's declared
+    generators are tested first, then every element; the scan stops at the
+    first g that splits a block.  A P that is not perfect has a proper
+    stabilizer, which misses a generator when they generate G, so its False
+    verdict takes at most one walk per generator; a True verdict still
+    walks all of G."""
     _require_partition_of(G, P)
-    return all(P.is_stabilized_by(g) for g in G.elements)
+    stabilizes = P.is_stabilized_by
+    return all(map(stabilizes, G.generators.values())) and all(map(stabilizes, G.elements))
 
 
 @dataclass(frozen=True)
@@ -420,22 +448,8 @@ def color_action(H: Subgroup, table: OrbitTable) -> ColorAction:
         if perm == identity_perm:
             kernel_members.append(h)
     verdict = PERFECT if table.index[smallest_outside(H)] == 0 else SEMIPERFECT
-    # Orbits of H on blocks.
-    seen: set[int] = set()
-    orbits = 0
-    for start in range(P.num_blocks):
-        if start in seen:
-            continue
-        orbits += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            b = stack.pop()
-            for perm in perms:
-                c = perm[b]
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
+    # The orbit of block b is {perm[b] : perm in perms}, as perms is all of H.
+    orbits = len(set(map(frozenset, zip(*perms))))
     kernel = Subgroup(group, tuple(kernel_members))
     cls = Classification(
         verdict=verdict,

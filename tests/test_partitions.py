@@ -159,6 +159,28 @@ class TestGeneralPartition:
         assert err.value.colliding is not None
 
 
+class TestFromBlocks:
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[0, 1], [], [2, 3]], "empty block"),
+            ([[0, 1], [1, 2, 3]], "blocks overlap at a"),
+            ([[0, 1], [2]], r"blocks do not cover the group; missing \['ab'\]"),
+        ],
+        ids=["empty", "overlap", "missing"],
+    )
+    def test_faults_are_named(self, blocks, message):
+        with pytest.raises(NotAPartitionError, match=f"^{message}$"):
+            GroupPartition.from_blocks(build_dihedral(2), blocks)
+
+    @pytest.mark.parametrize("stray", [99, -1, 4])
+    def test_members_outside_the_group_rejected(self, stray):
+        # D_2 has the elements 0-3.  With 4 the block sizes sum to the
+        # order; with -1 the member would index the last element's label.
+        with pytest.raises(NotAPartitionError, match=f"^block member {stray} is not an element"):
+            GroupPartition.from_blocks(build_dihedral(2), [[0, 1], [2, stray]])
+
+
 class TestStabilizerOracle:
     def test_two_orbit_example_stabilizer_is_H(self, d6, hexH, four_color):
         assert partition_stabilizer(d6, four_color).members == hexH.members

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -12,14 +13,27 @@ import semicolor.verify
 from semicolor.census import Census, enumerate_all_semiperfect
 from semicolor.errors import ResourceLimitError
 from semicolor.groups import (
+    FiniteGroup,
     Subgroup,
+    all_subgroups,
     build_dihedral,
     build_p4m_quotient,
+    conjugacy_classes_of_subgroups,
     group_from_descriptor,
+    lazy_field,
     parse_group_arg,
+    right_coset_reps_outside,
     subgroups_of_index,
+    whole_group,
 )
-from semicolor.partitions import type1_partition, type2_partition
+from semicolor.partitions import (
+    GroupPartition,
+    general_partition,
+    partition_stabilizer,
+    stabilized_by_whole_group,
+    type1_partition,
+    type2_partition,
+)
 from semicolor.verify import Suite, run_verification
 
 
@@ -410,3 +424,163 @@ def test_sweep_census_hashes_like_the_enumeration(name, exhaustive):
     digest = semicolor.verify._digest
     assert digest(built.chunks()) == digest(fresh.chunks())
     assert digest(semicolor.verify._oracle_chunks(built)) == digest(fresh.chunks())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_passes_on_degenerate_dihedral_groups(n):
+    # D_1's generator a is the identity, D_2 is the Klein four-group, and
+    # D_3 and D_5 have one color group each.
+    report = run_verification(build_dihedral(n))
+    assert report.passed, report.lines()
+
+
+def _sweep_recipes(G):
+    """Every recipe a verify sweep of G builds a partition from, with that
+    partition: per color group H, one type-1 recipe (J, {e, r}) per right
+    coset J*r outside H and one type-2 recipe per pair of the pool in
+    ``enumerate_type2``'s orientation, as ``general_partition`` parts."""
+    for H, pool in _sweep_pools(G):
+        for J in pool:
+            for r in right_coset_reps_outside(J, G, H):
+                yield H, [(J, (G.identity, r))], type1_partition(H, J, r)
+        y = semicolor.partitions.smallest_outside(H)
+        for J1 in pool:
+            for J2 in pool:
+                if (J1.order, J1.members) <= (J2.order, J2.members):
+                    parts = [(J1, (G.identity,)), (J2.conjugated_by(y), (y,))]
+                    yield H, parts, type2_partition(H, J1, J2)
+
+
+LAZY_GROUPS = [f"dihedral:{n}" for n in range(1, 9)] + ["p4m_quotient:1", "p4m_quotient:2"]
+
+
+@pytest.mark.parametrize("name", LAZY_GROUPS)
+def test_general_partition_is_canonical_and_valid_for_every_sweep_recipe(name):
+    G = group_from_descriptor(parse_group_arg(name))
+    for H, parts, P in _sweep_recipes(G):
+        built = general_partition(H, parts)
+        assert built.blocks == P.blocks
+        # from_blocks sorts arbitrary input and validates it from scratch.
+        shuffled = [block[::-1] for block in reversed(built.blocks)]
+        assert GroupPartition.from_blocks(G, shuffled).blocks == built.blocks
+
+
+@pytest.mark.parametrize("name", ["dihedral:16", "p4m_quotient:1"])
+def test_whole_group_verdict_matches_the_stabilizer_on_sweep_partitions(monkeypatch, name):
+    # Generators first: a partition that is not perfect has a proper
+    # stabilizer, so some generator splits a block and the verdict comes
+    # after at most one walk per generator; a perfect one walks all of G.
+    G = group_from_descriptor(parse_group_arg(name))
+    walks = []
+    plain = GroupPartition.is_stabilized_by
+
+    def counting(self, g):
+        walks.append(g)
+        return plain(self, g)
+
+    monkeypatch.setattr(GroupPartition, "is_stabilized_by", counting)
+    verdicts = Counter()
+    for _, _, P in _sweep_recipes(G):
+        walks.clear()
+        verdict = stabilized_by_whole_group(G, P)
+        if verdict:
+            assert walks == list(G.generators.values()) + list(G.elements)
+        else:
+            assert len(walks) <= len(G.generators)
+        assert verdict == partition_stabilizer(G, P).is_whole_group()
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _lazy_field_definitions(G):
+    """Each lazily computed field of the objects built over G: every
+    subgroup, every sweep partition and color group table, and G itself,
+    as (object, field name, its definition)."""
+    table = G.table
+    yield G, "element_orders", tuple(
+        next(k for k in range(1, G.order + 1) if G.power(g, k) == G.identity)
+        for g in G.elements
+    )
+    for J in all_subgroups(G):
+        yield J, "member_set", frozenset(J.members)
+        yield J, "mask", sum(1 << m for m in J.members)
+    full = whole_group(G)
+    for H in semicolor.verify._color_groups(G, exhaustive=False):
+        tables = semicolor.census.ColorGroupTables(G, H)
+        classes = conjugacy_classes_of_subgroups(tables.pool, full)
+        yield tables, "classes", classes
+        for W, name in ((H, "h_normalizers"), (full, "g_normalizers")):
+            yield tables, name, {
+                cls[0].members: tuple(w for w in W.members if cls[0].is_normalized_by(w))
+                for cls in classes
+            }
+    color_groups = {}
+    for H, _, P in _sweep_recipes(G):
+        color_groups[H.members] = H
+        yield P, "block_of", tuple(
+            i for e, i in sorted((e, i) for i, block in enumerate(P.blocks) for e in block)
+        )
+    for H in color_groups.values():
+        # The recipes kept the left coset representatives of each J on H.
+        yield H, "_coset_reps", {
+            K: sorted({min(table[h][k] for k in K) for h in H.members}) for K in H._coset_reps
+        }
+
+
+LAZY_FIELDS = [
+    (Subgroup, "member_set"),
+    (Subgroup, "mask"),
+    (Subgroup, "_coset_reps"),
+    (GroupPartition, "block_of"),
+    (FiniteGroup, "element_orders"),
+    (semicolor.census.ColorGroupTables, "classes"),
+    (semicolor.census.ColorGroupTables, "h_normalizers"),
+    (semicolor.census.ColorGroupTables, "g_normalizers"),
+]
+
+
+@pytest.mark.parametrize("name", LAZY_GROUPS)
+def test_lazy_fields_compute_once_and_match_their_definitions(monkeypatch, name):
+    computed = []  # holds every object computed on, so no id is reused
+    for owner, attr in LAZY_FIELDS:
+        field = vars(owner)[attr]
+        assert isinstance(field, lazy_field)
+
+        def counting(obj, fn=field.fn, attr=attr):
+            computed.append((obj, attr))
+            return fn(obj)
+
+        monkeypatch.setattr(field, "fn", counting)
+    G = group_from_descriptor(parse_group_arg(name))
+    read = Counter()
+    for obj, attr, definition in _lazy_field_definitions(G):
+        value = getattr(obj, attr)
+        if attr.endswith("normalizers"):
+            value = {key: W.members for key, W in value.items()}
+        assert value == definition, (obj, attr)
+        assert getattr(obj, attr) is getattr(obj, attr)
+        read[attr] += 1
+    assert set(read) == {attr for _, attr in LAZY_FIELDS}
+    assert len({(id(obj), attr) for obj, attr in computed}) == len(computed)
+
+
+def test_lazy_fields_leave_dataclasses_frozen():
+    G = build_dihedral(4)
+    H = subgroups_of_index(G, 2)[0]
+    P = type1_partition(H, H, H.complement()[0])
+    for obj, attr in ((H, "mask"), (H, "members"), (P, "block_of"), (P, "blocks")):
+        getattr(obj, attr)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
+
+
+def test_no_functools_cached_property_in_the_package():
+    # cached_property takes a lock on every first read up to Python 3.11;
+    # groups.lazy_field serves every lazy field instead.
+    src = Path(semicolor.census.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            assert "cached_property" not in names, path.name
