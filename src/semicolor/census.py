@@ -37,8 +37,10 @@ representative (``_translates``).  A type-2 key is
 J and ``outside[J]`` the H-translates of y0*J, both built once per J.
 The ``equivalenceKey`` text of a key joins one string per block, each
 built on its first lookup in a ``_Memo``.
-``table1`` numbers its cells by the same type-1 identity block
-(``_type1_base``), so it neither builds nor translates a partition.
+One walk of the type-1 grid, ``_type1_classes``, gives each cell its
+identity block (``_type1_base``) and marks the first cell of each class:
+``enumerate_type1`` keeps those cells and ``table1`` numbers them, so
+neither builds nor translates a partition.
 ``type1_partition`` and ``type2_partition`` are left to
 ``ColoringSpec.partition``, ``verify`` and the tests, and the translating
 orbit key and ``GroupPartition.translated`` to ``verify`` and the tests.
@@ -52,15 +54,15 @@ subgroup of K normal in H and y0 the smallest element outside H:
 * type 2: [H:J1] + [H:J2] colors in two orbits, kernel the intersection
   of core_H(J1) and core_H(y0*J2*y0^-1).
 
-Each pipeline reads these counts and core masks once per pool subgroup
-(type 2) or once per (J, l) (type 1, which also conjugates J by l once
-there) and hands them, with the entry's recipe (J, l, r) or (J1, J2, y0),
-to ``ColorGroupTables.entry``, the one entry constructor, so no entry
-recomputes an index, a core or a conjugate.  A ``CensusEntry`` is the
-``ColoringSpec`` of its recipe with the classification and the key added,
-all in slots; it re-checks no l inside H or y0 outside it, and builds its
-partition only when ``partition`` is read.  Entries with equal counts and
-kernel share one frozen ``Classification``.  ``type1_cells`` reads each
+Each pipeline reads these counts and core masks from the tables and hands
+them, with the entry's recipe (J, l, r) or (J1, J2, y0), to
+``ColorGroupTables.entry``, so no entry recomputes an index or a core.  A
+``CensusEntry`` is the ``ColoringSpec`` of its recipe, made by the one
+recipe constructor ``ColoringSpec.__init__``, with the classification and
+the key added, all in slots; it re-checks no l inside H or y0 outside it.
+No record keeps a partition: ``partition`` builds one on every read, and
+``verify``'s sweep is the one partition cache.  Entries with equal counts
+and kernel share one frozen ``Classification``.  ``type1_cells`` reads each
 verdict from ``classify_type1``'s unchecked core, once per (J, r):
 conjugation by l is an automorphism, so every l shares it.
 
@@ -102,7 +104,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
 from .groups import (
@@ -141,22 +143,25 @@ from .partitions import (
 # -- coloring specifications ----------------------------------------------------
 
 
+Recipe = tuple[Subgroup, int, int] | tuple[Subgroup, Subgroup, int]  # (J, l, r) | (J1, J2, y)
+
+
 class ColoringSpec:
     """Constructive recipe for a coloring: the color group H, the kind, and
-    J, l and r (type 1) or J1, J2 and y (type 2); the fields of the other
-    kind are None.  Its partition is built on first read."""
+    (J, l, r) for type 1 or (J1, J2, y) for type 2, the other kind's fields
+    None.  ``__init__``, the one recipe constructor, checks nothing;
+    ``type1`` and ``type2`` check l inside H and r or y outside it first."""
 
-    __slots__ = ("H", "kind", "J", "l", "r", "J1", "J2", "y", "_partition")
+    __slots__ = ("H", "kind", "J", "l", "r", "J1", "J2", "y")
 
-    def __init__(
-        self, H: Subgroup, kind: str, J: Subgroup | None = None, l: int | None = None,
-        r: int | None = None, J1: Subgroup | None = None, J2: Subgroup | None = None,
-        y: int | None = None,
-    ):
+    def __init__(self, H: Subgroup, kind: str, recipe: Recipe):
         self.H, self.kind = H, kind  # "type1" | "type2"
-        self.J, self.l, self.r = J, l, r
-        self.J1, self.J2, self.y = J1, J2, y
-        self._partition = None
+        if kind == "type1":
+            self.J, self.l, self.r = recipe
+            self.J1 = self.J2 = self.y = None
+        else:
+            self.J = self.l = self.r = None
+            self.J1, self.J2, self.y = recipe
 
     @classmethod
     def type1(cls, H: Subgroup, J: Subgroup, r: int, l: int | None = None) -> "ColoringSpec":
@@ -165,14 +170,14 @@ class ColoringSpec:
             raise InvalidParameterError("the conjugating element l must lie in H")
         if r in H:
             raise InvalidParameterError("r must lie outside H")
-        return cls(H, "type1", J=J, l=l, r=r)
+        return cls(H, "type1", (J, l, r))
 
     @classmethod
     def type2(cls, H: Subgroup, J1: Subgroup, J2: Subgroup, y: int | None = None) -> "ColoringSpec":
         y = smallest_outside(H) if y is None else y
         if y in H:
             raise InvalidParameterError("y must lie outside H")
-        return cls(H, "type2", J1=J1, J2=J2, y=y)
+        return cls(H, "type2", (J1, J2, y))
 
     @property
     def group(self) -> FiniteGroup:
@@ -180,13 +185,11 @@ class ColoringSpec:
 
     @property
     def partition(self) -> GroupPartition:
-        """The realized partition, built on first read and kept."""
-        if self._partition is None:
-            if self.kind == "type1":
-                self._partition = type1_partition(self.H, self.J.conjugated_by(self.l), self.r)
-            else:
-                self._partition = type2_partition(self.H, self.J1, self.J2)
-        return self._partition
+        """The realized partition, built anew on every read and kept by no
+        record: a caller that needs it twice reads it once into a local."""
+        if self.kind == "type1":
+            return type1_partition(self.H, self.J.conjugated_by(self.l), self.r)
+        return type2_partition(self.H, self.J1, self.J2)
 
     def verdict(self) -> str:
         if self.kind == "type1":
@@ -243,34 +246,12 @@ def subgroup_of_labels(group: FiniteGroup, labels: list[str]) -> Subgroup:
 class CensusEntry(ColoringSpec):
     """One census entry: the ``ColoringSpec`` of its coloring, (J, l, r) for
     type 1 or (J1, J2, y) for type 2 inside the color group H, with its
-    classification and orbit key.
-
-    The pipelines hold l inside H and y outside it, so no entry re-checks
-    them; its partition is built, as any spec's, only when first read.
+    classification, orbit key and the block texts of its color group.
+    ``ColorGroupTables.entry`` makes it with ``ColoringSpec.__init__``,
+    whose recipe the pipelines have checked, and sets those three fields.
     """
 
     __slots__ = ("classification", "key", "block_text")
-
-    def __init__(
-        self,
-        H: Subgroup,
-        kind: str,
-        recipe: tuple[Subgroup, int, int] | tuple[Subgroup, Subgroup, int],
-        classification: Classification,
-        key: tuple[tuple[int, ...], ...],
-        block_text: Mapping[tuple[int, ...], str],
-    ):
-        # Every field is set here, not through ColoringSpec.__init__: the
-        # census makes one entry per coloring, and the extra call shows.
-        self.H, self.kind = H, kind
-        if kind == "type1":
-            self.J, self.l, self.r = recipe
-            self.J1 = self.J2 = self.y = None
-        else:
-            self.J = self.l = self.r = None
-            self.J1, self.J2, self.y = recipe
-        self._partition = None
-        self.classification, self.key, self.block_text = classification, key, block_text
 
     @property
     def spec(self) -> ColoringSpec:
@@ -358,7 +339,7 @@ class ColorGroupTables:
     def entry(
         self,
         kind: str,
-        recipe: tuple[Subgroup, int, int] | tuple[Subgroup, Subgroup, int],
+        recipe: Recipe,
         key: tuple[tuple[int, ...], ...],
         colors: int,
         orbits: int,
@@ -386,7 +367,9 @@ class ColorGroupTables:
                 kernel_order=kernel_order,
                 color_perm_group_order=self.H.order // kernel_order,
             )
-        return CensusEntry(self.H, kind, recipe, classification, key, self.text)
+        entry = CensusEntry(self.H, kind, recipe)
+        entry.classification, entry.key, entry.block_text = classification, key, self.text
+        return entry
 
 
 # -- pipelines -------------------------------------------------------------------
@@ -438,32 +421,47 @@ def enumerate_type2(tables: ColorGroupTables) -> list[CensusEntry]:
 def enumerate_type1(tables: ColorGroupTables) -> list[CensusEntry]:
     """Semiperfect one-orbit colorings, one entry per equivalence class.
 
-    Walks the ``type1_cells`` grid, keeps the semiperfect cells and
-    collapses equivalent pairs via the orbit key.
+    Keeps the first cell of each class of the ``type1_cells`` grid, as
+    ``_type1_classes`` marks them, and gives it the orbit key of its
+    identity block (see the module docstring).
     """
     H = tables.H
     group = H.group
     in_H, reps = H.member_set, H._coset_reps
-    # One entry per identity block of a key (see the module docstring).
-    entries: dict[tuple[int, ...], CensusEntry] = {}
+    entries = []
+    for (J, l, r, _), base, first in _type1_classes(tables):
+        if not first:
+            continue
+        stabilizer = tuple(e for e in base if e in in_H)
+        key = tuple(sorted(_translates(group, reps[stabilizer], base)))
+        # l lies in H, so core_H(l*J*l^-1) = core_H(J).
+        colors, kernel = H.order // J.order, tables.cores[J.members]
+        entries.append(tables.entry("type1", (J, l, r), key, colors, 1, kernel))
+    entries.sort(key=lambda e: e.key)
+    _assert_distinct_keys(entries)
+    return entries
+
+
+def _type1_classes(tables: ColorGroupTables) -> Iterator[tuple]:
+    """Each ``type1_cells`` cell with its ``_type1_base`` identity block
+    (None for a perfect cell) and whether it is the first cell of its
+    class in grid order: the one walk of the grid behind ``enumerate_type1``
+    and ``type1_reference_grid``.  It conjugates J by l once per (J, l)."""
+    group = tables.H.group
+    seen: set[tuple[int, ...]] = set()
     cell_J, cell_l = None, None
-    for J, l, r, verdict in type1_cells(tables):
+    for cell in type1_cells(tables):
+        J, l, r, verdict = cell
         if verdict.perfect:
+            yield cell, None, False
             continue
         if J is not cell_J or l != cell_l:  # the grid runs l by l within each J
             cell_J, cell_l = J, l
             Jl = J.conjugated_by(l).members
-            colors = H.order // J.order
-            kernel = tables.cores[J.members]  # l lies in H, so core_H(l*J*l^-1) = core_H(J)
         base = _type1_base(group, Jl, r)
-        if base in entries:
-            continue
-        stabilizer = tuple(e for e in base if e in in_H)
-        key = tuple(sorted(_translates(group, reps[stabilizer], base)))
-        entries[base] = tables.entry("type1", (J, l, r), key, colors, 1, kernel)
-    part = sorted(entries.values(), key=lambda e: e.key)
-    _assert_distinct_keys(part)
-    return part
+        first = base not in seen
+        seen.add(base)
+        yield cell, base, first
 
 
 def _type1_base(group: FiniteGroup, J: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -703,23 +701,18 @@ class GridRow:
 def type1_reference_grid(G: FiniteGroup, H: Subgroup) -> list[GridRow]:
     """Full (J, l, r) grid with verdicts and equivalence back-references.
 
-    Semiperfect cells are numbered (1), (2), ... in grid order; a later cell
-    equivalent to an earlier one is annotated instead of renumbered.
+    Semiperfect cells are numbered (1), (2), ... in grid order, the cells
+    ``enumerate_type1`` keeps; a later cell equivalent to an earlier one is
+    annotated instead of renumbered.
     """
-    rows = []
-    counter = 0
-    first_seen: dict[tuple, int] = {}
-    for J, l, r, verdict in type1_cells(ColorGroupTables(G, H)):
-        if verdict.perfect:
+    rows, number = [], {}
+    for (J, l, r, _), base, first in _type1_classes(ColorGroupTables(G, H)):
+        if base is None:
             rows.append(GridRow(J, l, r, PERFECT, PERFECT))
             continue
-        key = _type1_base(G, J.conjugated_by(l).members, r)
-        if key in first_seen:
-            note = f"equivalent to ({first_seen[key]})"
-        else:
-            counter += 1
-            first_seen[key] = counter
-            note = f"({counter}) semiperfect"
+        if first:
+            number[base] = len(number) + 1
+        note = f"({number[base]}) semiperfect" if first else f"equivalent to ({number[base]})"
         rows.append(GridRow(J, l, r, SEMIPERFECT, note))
     return rows
 

@@ -285,15 +285,14 @@ def _load_spec(path: str) -> ColoringSpec:
 def cmd_render(args) -> int:
     spec = _load_spec(args.spec)
     tile_map = tile_map_for(spec.group)
-    block_of = {
-        spec.group.labels[g]: spec.partition.block_of[g] for g in spec.group.elements
-    }
+    partition = spec.partition
+    block_of = dict(zip(spec.group.labels, partition.block_of))
     m, x, n = args.cells.partition("x")
     if not all(s.isascii() and s.isdigit() for s in (m, n if x else m)):  # no sign, space or _
         raise InvalidParameterError(f"cannot parse cells {args.cells!r}")
     cells = (int(m), int(n or m))
     _emit(render_svg(tile_map, block_of, palette=args.palette, cells=cells), args.out)
-    colors, fills = spec.partition.num_blocks, len(PALETTES[args.palette])
+    colors, fills = partition.num_blocks, len(PALETTES[args.palette])
     print(f"wrote {args.out}: {colors} colors, {spec.verdict()}")
     if colors > fills:
         print(f"note: {colors} colors but palette {args.palette!r} has {fills} fills, "
@@ -332,9 +331,7 @@ def cmd_conjugate(args) -> int:
     tile_map = tile_map_for(group) if args.table else None  # exit 2 before writing
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     if tile_map is not None:
-        coloring = {
-            group.labels[g]: spec.partition.block_of[g] + 1 for g in group.elements
-        }
+        coloring = {label: b + 1 for label, b in zip(group.labels, spec.partition.block_of)}
         perm = {group.labels[g]: group.labels[alpha(g)] for g in group.elements}
         print("domain,original,image,new")
         for row in transfer_table(tile_map, coloring, perm):

@@ -9,9 +9,10 @@ translates, sorts them once and validates the result once: a partition
 passes by set arithmetic (nonempty blocks, sizes summing to |G|, union
 equal to G), and only a fault (an empty block, a member outside the
 group, an overlap or a missing element) is searched for and named block
-by block.  ``GroupPartition.from_blocks`` sorts arbitrary blocks first and
-validates them the same way.  The two standard families for an index-2
-color group H are its special cases:
+by block.  ``GroupPartition.from_blocks``, the one constructor of outside
+input, sorts arbitrary blocks first, rejects a member whose type is not
+``int`` (a ``bool`` or a float) and validates them the same way.  The two
+standard families for an index-2 color group H are its special cases:
 
 * type 1: the one part (J, {e, r}), blocks ``h * (J u J*r)`` for ``h in H``
   (one orbit of colors),
@@ -73,7 +74,11 @@ class GroupPartition:
     def from_blocks(
         cls, group: FiniteGroup, blocks: Iterable[Iterable[int]]
     ) -> "GroupPartition":
+        """The partition with these blocks; each member is an ``int`` index."""
         canon = canonical_blocks(blocks)
+        stray = [e for block in canon for e in block if type(e) is not int]  # 1.0, True
+        if stray:
+            raise NotAPartitionError(f"block member {stray[0]!r} is not an element of the group")
         _validate_partition(group, canon)
         return cls(group, canon)
 

@@ -6,6 +6,7 @@ import pytest
 from semicolor import census, partitions
 from semicolor.census import (
     P4M_COLOR_GROUPS,
+    CensusEntry,
     ColorGroupTables,
     ColoringSpec,
     GroupAutomorphism,
@@ -447,6 +448,9 @@ def test_census_entries_are_recipe_records(monkeypatch, descriptor):
         "".join(_census_csv(result))
         result.to_json()
         assert built == []
+    # One recipe constructor, and no record keeps a partition.
+    assert "__init__" not in CensusEntry.__dict__
+    assert "_partition" not in ColoringSpec.__slots__ + CensusEntry.__slots__
     for entry in result.entries:
         assert isinstance(entry, ColoringSpec) and not hasattr(entry, "__dict__")
         assert entry.spec is entry
@@ -456,6 +460,7 @@ def test_census_entries_are_recipe_records(monkeypatch, descriptor):
         else:
             assert (entry.J, entry.l, entry.r) == (None, None, None)
             want = ColoringSpec.type2(entry.H, entry.J1, entry.J2, entry.y)
+        assert [getattr(want, f) for f in RECIPE] == [getattr(entry, f) for f in RECIPE]
         assert entry.partition.blocks == want.partition.blocks
         assert entry.verdict() == want.verdict()
         spec_json = entry.to_json()["spec"]
@@ -631,6 +636,25 @@ def test_reference_grid_matches_equivalence_key_numbering():
         assert got == expected, (descriptor, generating_words(H))
         rows += len(got)
     assert rows == 1287
+
+
+@pytest.mark.parametrize(
+    "descriptor", [f"dihedral:{n}" for n in range(1, 9)] + ["p4m_quotient:1", "p4m_quotient:2"]
+)
+def test_reference_grid_numbers_the_kept_cells(descriptor):
+    # One walk of the grid serves both: the numbered rows of table1 are, in
+    # row order, the cells enumerate_type1 keeps, taken in grid order.
+    G = group_from_descriptor(parse_group_arg(descriptor))
+    for H in subgroups_of_index(G, 2):
+        tables = ColorGroupTables(G, H)
+        where = {(J.members, l, r): i for i, (J, l, r, _) in enumerate(type1_cells(tables))}
+        entries = enumerate_type1(tables)
+        kept = sorted(((e.J.members, e.l, e.r) for e in entries), key=where.__getitem__)
+        rows = [row for row in type1_reference_grid(G, H) if row.note.endswith(") semiperfect")]
+        notes = [f"({k}) semiperfect" for k in range(1, len(rows) + 1)]
+        assert [row.note for row in rows] == notes
+        # As many numbered rows as entries, and in grid order the same cells.
+        assert [(row.J.members, row.l, row.r) for row in rows] == kept, (descriptor, H)
 
 
 class TestSpecSerialization:

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import semicolor.census
 import semicolor.cli
 from semicolor.census import (
     Census,
@@ -605,3 +607,39 @@ class TestConjugateCommand:
 
     def test_requires_map_or_target(self, capsys, four_color_spec_file):
         assert main(["conjugate", str(four_color_spec_file)]) == 2
+
+
+P4M4_SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "p4m4_spec.json"
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["render", "{type1}", "--out", "{out}"], 1),
+        (["render", "{type2}", "--out", "{out}"], 1),
+        (["conjugate", "{type2}", "--map", "a=a5,b=ab", "--table"], 2),
+        (["conjugate", str(P4M4_SPEC), "--onto", "xa,ab,xy,Xy", "--table"], 2),
+    ],
+    ids=["render-type1", "render-type2", "conjugate-map", "conjugate-onto"],
+)
+def test_each_command_builds_each_partition_once(
+    tmp_path, capsys, monkeypatch, d6, hexH, four_color_spec_file, argv, builds
+):
+    # ColoringSpec.partition builds anew on every read, so a command reads it
+    # once into a local: one build for render's spec, and one each for
+    # conjugate's spec and moved spec.
+    type1 = tmp_path / "type1.json"
+    spec = ColoringSpec.type1(hexH, subgroup_from_words(d6, "b"), d6.element("a"))
+    type1.write_text(json.dumps(spec.to_json()), encoding="utf-8")
+    paths = {"{type1}": str(type1), "{type2}": str(four_color_spec_file)}
+    paths["{out}"] = str(tmp_path / "out.svg")
+    built = []
+    for fn in ("type1_partition", "type2_partition"):
+        def counting(*args, plain=getattr(semicolor.census, fn)):
+            built.append(args)
+            return plain(*args)
+
+        monkeypatch.setattr(semicolor.census, fn, counting)
+    assert main([paths.get(a, a) for a in argv]) == 0
+    capsys.readouterr()
+    assert len(built) == builds

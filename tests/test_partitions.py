@@ -173,10 +173,11 @@ class TestFromBlocks:
         with pytest.raises(NotAPartitionError, match=f"^{message}$"):
             GroupPartition.from_blocks(build_dihedral(2), blocks)
 
-    @pytest.mark.parametrize("stray", [99, -1, 4])
+    @pytest.mark.parametrize("stray", [99, -1, 4, 1.0, True])
     def test_members_outside_the_group_rejected(self, stray):
         # D_2 has the elements 0-3.  With 4 the block sizes sum to the
         # order; with -1 the member would index the last element's label.
+        # 1.0 and True equal the element 1 but are no element index.
         with pytest.raises(NotAPartitionError, match=f"^block member {stray} is not an element"):
             GroupPartition.from_blocks(build_dihedral(2), [[0, 1], [2, stray]])
 
